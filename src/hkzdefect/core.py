@@ -249,15 +249,6 @@ def int_identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
 def int_det(matrix: list[list[int]]) -> int:
     """Integer determinant via fraction-free (Bareiss) elimination."""
     n = len(matrix)
@@ -317,17 +308,6 @@ class Unimodular:
             self.entries[i][j] == (1 if i == j else 0)
             for i in range(self.n)
             for j in range(self.n)
-        )
-
-    def compose(self, other: "Unimodular") -> "Unimodular":
-        """self @ other (apply `other` first, then `self`)."""
-        return Unimodular(
-            tuple(
-                tuple(r)
-                for r in int_mat_mul(
-                    [list(r) for r in self.entries], [list(r) for r in other.entries]
-                )
-            )
         )
 
 

@@ -34,11 +34,10 @@ from .core import (
 from .proofcheck import extremal_gram
 from .reduction import (
     InequalityCheck,
+    _minima_from_gso,
     check_propositions,
     hkz_reduce,
     is_hkz_reduced,
-    projected_gram,
-    successive_minima,
 )
 
 MAX_EXPERIMENT_RANK = 6
@@ -166,7 +165,8 @@ def check_defect_chain(gram: GramMatrix) -> ChainReport:
                 proj_norm + Fraction(29, 24) * b4,
             )
         )
-    tail_minima = successive_minima(projected_gram(gram, 4)).minima_sq
+    tail_mu = tuple(row[3:] for row in gso.mu[3:])
+    tail_minima = [m for m, _ in _minima_from_gso(tail_mu, gso.bstar[3:])]
     norm_vs_minima = tuple(
         InequalityCheck(
             f"||b_{i + 1}||^2 <= ({i + 1}/4 + 29/24) lambda_{i - 2}(4)^2",
@@ -175,7 +175,7 @@ def check_defect_chain(gram: GramMatrix) -> ChainReport:
         )
         for i in range(3, n)
     )
-    full_minima = successive_minima(gram).minima_sq
+    full_minima = [m for m, _ in _minima_from_gso(gso.mu, gso.bstar)]
     bstar_vs_full = tuple(
         InequalityCheck(
             f"||b_{i + 1}({i + 1})||^2 <= lambda_{i + 1}^2",
@@ -254,12 +254,18 @@ def _run_trial(args: tuple[ExperimentConfig, int]) -> TrialRecord:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HKZ_THREADS", "1")
+def _worker_count(raw: str | None, cpu_count: int | None, trials: int) -> int:
+    """Worker processes for `trials` trials given the HKZ_THREADS value `raw`.
+
+    The request is clamped to the CPU count and to the number of trials, since
+    the pool starts every worker up front; a missing, non-integer or
+    non-positive request means one worker.
+    """
     try:
-        return max(1, int(raw))
-    except ValueError:
+        requested = int(raw)
+    except (TypeError, ValueError):
         return 1
+    return max(1, min(requested, cpu_count or 1, trials))
 
 
 @dataclass(frozen=True)
@@ -276,12 +282,13 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run all trials (in parallel when HKZ_THREADS > 1; records are identical
-    either way because every trial owns its own seed)."""
+    """Run all trials (in parallel when HKZ_THREADS > 1, with at most one
+    worker per CPU and per trial; records are identical either way because
+    every trial owns its own seed)."""
     cfg.validate()
     jobs = [(cfg, trial) for trial in range(cfg.trials)]
-    workers = _worker_count()
-    if workers > 1 and cfg.trials > 1:
+    workers = _worker_count(os.environ.get("HKZ_THREADS"), os.cpu_count(), cfg.trials)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial, jobs, chunksize=8))
     else:

@@ -17,7 +17,6 @@ from .core import (
     Unimodular,
     apply_unimodular,
     int_identity,
-    int_mat_mul,
     ldl,
     quadratic_form_value,
 )
@@ -185,7 +184,7 @@ def projected_gram(gram: GramMatrix, index: int) -> GramMatrix:
 
     `index` is 1-based: index 1 returns the matrix itself, index i returns the
     rank n-i+1 Gram of the projections of b_i, ..., b_n.  Built exactly from
-    the LDL data as L' diag(bstar[i..n]) L'^T.
+    the trailing LDL data as L' diag(bstar[i..n]) L'^T.
     """
     n = gram.n
     if not 1 <= index <= n:
@@ -194,21 +193,28 @@ def projected_gram(gram: GramMatrix, index: int) -> GramMatrix:
         return gram
     gso = ldl(gram)
     start = index - 1
-    m = n - start
-    rows = []
-    for a in range(m):
-        row = []
-        for c in range(m):
-            s = Fraction(0)
-            for k in range(min(a, c) + 1):
-                s += (
-                    gso.mu_full(start + a, start + k)
-                    * gso.mu_full(start + c, start + k)
-                    * gso.bstar[start + k]
-                )
-            row.append(s)
-        rows.append(row)
-    return GramMatrix.from_rows(rows)
+    tail_mu = tuple(row[start:] for row in gso.mu[start:])
+    return GSOData(tail_mu, gso.bstar[start:]).reconstruct()
+
+
+def _size_reduce(mu: list[list[Fraction]], rows: list[list[int]]) -> None:
+    """Lazy size reduction in place: make every |mu_{i,j}| <= 1/2.
+
+    `mu` holds the GSO coefficients of the basis whose rows, as integer
+    combinations of some fixed basis, are `rows`; each step b_i -= q b_j is
+    applied to both.  The orthogonalized norms bstar do not change.
+    """
+    for i in range(1, len(mu)):
+        for j in range(i - 1, -1, -1):
+            v = mu[i][j]
+            if 2 * v <= 1 and 2 * v >= -1:
+                continue
+            # residual lands in (-1/2, 1/2]
+            q = -((-2 * v.numerator + v.denominator) // (2 * v.denominator))
+            rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+            for k in range(j):
+                mu[i][k] -= q * mu[j][k]
+            mu[i][j] = v - q
 
 
 def size_reduce(gram: GramMatrix) -> tuple[GramMatrix, Unimodular]:
@@ -218,23 +224,10 @@ def size_reduce(gram: GramMatrix) -> tuple[GramMatrix, Unimodular]:
     the +-1/2 boundary are fixed points.  The orthogonalized norms bstar are
     invariant under this transform.
     """
-    n = gram.n
-    gso = ldl(gram)
-    mu = [list(row) for row in gso.mu]
-    transform = int_identity(n)
-    for i in range(1, n):
-        for j in range(i - 1, -1, -1):
-            v = mu[i][j]
-            if 2 * v <= 1 and 2 * v >= -1:
-                continue
-            # residual lands in (-1/2, 1/2]
-            q = -((-2 * v.numerator + v.denominator) // (2 * v.denominator))
-            for k in range(n):
-                transform[i][k] -= q * transform[j][k]
-            for k in range(j):
-                mu[i][k] -= q * mu[j][k]
-            mu[i][j] = v - q
-    u = Unimodular.from_rows(transform)
+    mu = [list(row) for row in ldl(gram).mu]
+    rows = int_identity(gram.n)
+    _size_reduce(mu, rows)
+    u = Unimodular.from_rows(rows)
     return apply_unimodular(gram, u), u
 
 
@@ -280,24 +273,6 @@ def complete_primitive_row(coeffs) -> list[list[int]]:
     return inv
 
 
-def _canonical_sign_transform(gram: GramMatrix) -> Unimodular:
-    """Resolve the +-1/2 sign freedom: flip b_t whenever the first nonzero
-    coefficient in its mu row is exactly -1/2."""
-    gso = ldl(gram)
-    n = gram.n
-    signs = [1] * n
-    half = Fraction(1, 2)
-    for t in range(1, n):
-        for j in range(t):
-            v = gso.mu[t][j]
-            if v != 0:
-                if signs[j] * v == -half:
-                    signs[t] = -1
-                break
-    rows = [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return Unimodular.from_rows(rows)
-
-
 def hkz_reduce(gram: GramMatrix) -> ReductionReport:
     """Full HKZ reduction by the textbook recursion.
 
@@ -305,36 +280,53 @@ def hkz_reduce(gram: GramMatrix) -> ReductionReport:
     b_1, ..., b_{i-1} is found by enumeration, lifted to a primitive vector,
     completed to a basis of the trailing block, and installed as the new b_i;
     a lazy size reduction then restores |mu| <= 1/2 and the recursion moves on.
+    Finally b_t is negated whenever the first nonzero coefficient of its mu
+    row is exactly -1/2, which fixes the sign freedom of the +-1/2 boundary.
     The output is a fixed point: reducing it again returns it unchanged.
+
+    One integer transform, relative to the input basis, and the GSO data of
+    the current basis are carried through the levels.  The Gram matrix is
+    rebuilt and factored only at a level whose shortest vector is not already
+    b_i, and once more at the end.
     """
     n = gram.n
-    current = gram
-    transform = Unimodular.identity(n)
+    rows = int_identity(n)
+    gso = ldl(gram)
+    mu = [list(row) for row in gso.mu]
+    bstar = gso.bstar
     svp_calls = 0
     total_nodes = 0
     for level in range(n):
-        gso = ldl(current)
-        sub_mu = tuple(
-            tuple(gso.mu[i][level:i]) for i in range(level, n)
-        )
-        sub_bstar = gso.bstar[level:]
-        best = _shortest_from_gso(sub_mu, sub_bstar)
+        sub_mu = tuple(tuple(mu[i][level:i]) for i in range(level, n))
+        best = _shortest_from_gso(sub_mu, bstar[level:])
         svp_calls += 1
         total_nodes += best.nodes_visited
-        block = complete_primitive_row(best.coeffs)
-        step = int_identity(n)
-        for a in range(n - level):
-            for b in range(n - level):
-                step[level + a][level + b] = block[a][b]
-        u_step = Unimodular.from_rows(step)
-        current = apply_unimodular(current, u_step)
-        transform = u_step.compose(transform)
-        current, u_sr = size_reduce(current)
-        transform = u_sr.compose(transform)
-    u_sign = _canonical_sign_transform(current)
-    current = apply_unimodular(current, u_sign)
-    transform = u_sign.compose(transform)
-    return ReductionReport(current, transform, svp_calls, total_nodes)
+        if any(best.coeffs[1:]):
+            block = complete_primitive_row(best.coeffs)
+            tail = rows[level:]
+            rows[level:] = [
+                [sum(a * row[c] for a, row in zip(block_row, tail)) for c in range(n)]
+                for block_row in block
+            ]
+            gso = ldl(apply_unimodular(gram, Unimodular(tuple(map(tuple, rows)))))
+            mu = [list(row) for row in gso.mu]
+            bstar = gso.bstar
+        _size_reduce(mu, rows)
+    signs = [1] * n
+    half = Fraction(1, 2)
+    for t in range(1, n):
+        for j in range(t):
+            v = mu[t][j]
+            if v != 0:
+                if signs[j] * v == -half:
+                    signs[t] = -1
+                break
+    transform = Unimodular.from_rows(
+        [[signs[i] * v for v in row] for i, row in enumerate(rows)]
+    )
+    return ReductionReport(
+        apply_unimodular(gram, transform), transform, svp_calls, total_nodes
+    )
 
 
 def is_hkz_reduced(gram: GramMatrix) -> HKZCertificate:
@@ -378,14 +370,39 @@ def _independent_over_q(rows: list[list[Fraction]], candidate) -> bool:
     return False
 
 
+def _minima_from_gso(mu, bstar) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """The n successive minima of a size-reduced basis given by its GSO data,
+    each with an independent witness in that basis, as (norm_sq, coeffs).
+
+    Enumerates every vector of squared norm at most (n+3)/4 * max_i bstar[i]
+    and greedily picks independent vectors in order of increasing norm.  With
+    |mu| <= 1/2, ||b_i||^2 <= bstar[i] + 1/4 (bstar[1] + ... + bstar[i-1]), so
+    that radius holds b_1, ..., b_n and with them witnesses for all n minima.
+    """
+    n = len(bstar)
+    if n > MAX_MINIMA_RANK:
+        raise ValueError(
+            f"minima enumeration unsupported above rank {MAX_MINIMA_RANK}"
+        )
+    radius = Fraction(n + 3, 4) * max(bstar)
+    found, _nodes = _Enumerator(mu, bstar).below(radius)
+    found.sort(key=lambda item: (item[0],) + _preference_key(item[1]))
+    echelon: list[list[Fraction]] = []
+    picked = []
+    for norm_sq, coeffs in found:
+        if _independent_over_q(echelon, coeffs):
+            picked.append((norm_sq, coeffs))
+            if len(picked) == n:
+                return picked
+    raise RuntimeError("enumeration radius failed to produce n independent vectors")
+
+
 def successive_minima(gram: GramMatrix) -> SuccessiveMinima:
     """All n successive minima with independent witness vectors, exactly.
 
-    HKZ-reduces first, enumerates every vector of squared norm at most
-    (n+3)/4 * max_i bstar[i] of the reduced basis (a radius that provably
-    contains witnesses for all n minima), then greedily picks independent
-    vectors in order of increasing norm.  Witness coefficients refer to the
-    original input basis.
+    HKZ-reduces first, then enumerates inside a radius that provably contains
+    witnesses for all n minima of the reduced basis (see `_minima_from_gso`).
+    Witness coefficients refer to the original input basis.
     """
     n = gram.n
     if n > MAX_MINIMA_RANK:
@@ -394,25 +411,15 @@ def successive_minima(gram: GramMatrix) -> SuccessiveMinima:
         )
     report = hkz_reduce(gram)
     gso = ldl(report.reduced)
-    radius = Fraction(n + 3, 4) * max(gso.bstar)
-    enum = _Enumerator(gso.mu, gso.bstar)
-    found, _nodes = enum.below(radius)
-    found.sort(key=lambda item: (item[0],) + _preference_key(item[1]))
-    echelon: list[list[Fraction]] = []
-    minima: list[Fraction] = []
-    witnesses: list[tuple[int, ...]] = []
     t = report.transform.entries
-    for norm_sq, coeffs in found:
-        if _independent_over_q(echelon, coeffs):
-            original = tuple(
-                sum(coeffs[r] * t[r][c] for r in range(n)) for c in range(n)
-            )
-            minima.append(norm_sq)
-            witnesses.append(_normalize_sign(original))
-            if len(minima) == n:
-                break
-    if len(minima) != n:
-        raise RuntimeError("enumeration radius failed to produce n independent vectors")
+    minima = []
+    witnesses = []
+    for norm_sq, coeffs in _minima_from_gso(gso.mu, gso.bstar):
+        original = tuple(
+            sum(coeffs[r] * t[r][c] for r in range(n)) for c in range(n)
+        )
+        minima.append(norm_sq)
+        witnesses.append(_normalize_sign(original))
     return SuccessiveMinima(tuple(minima), tuple(witnesses))
 
 
@@ -471,7 +478,7 @@ def check_propositions(gram: GramMatrix) -> PropositionReport:
     if not cert.ok:
         raise ValueError(f"input not HKZ reduced: {cert.failing_condition}")
     gso = ldl(gram)
-    minima = successive_minima(gram).minima_sq
+    minima = [norm_sq for norm_sq, _ in _minima_from_gso(gso.mu, gso.bstar)]
     n = gram.n
     adjacent = tuple(
         InequalityCheck(

@@ -15,7 +15,7 @@ from hkzdefect import (
     run_experiment,
     summary_json,
 )
-from hkzdefect.experiments import _A2_GRAM, _trial_gram
+from hkzdefect.experiments import _A2_GRAM, _trial_gram, _worker_count
 
 
 def test_random_gram_deterministic():
@@ -118,6 +118,27 @@ def test_parallel_trials_match_serial(monkeypatch):
     monkeypatch.setenv("HKZ_THREADS", "2")
     parallel = records_to_csv(run_experiment(cfg).records)
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "raw, cpus, trials, expected",
+    [
+        (None, 8, 100, 1),  # HKZ_THREADS unset
+        ("1", 8, 100, 1),
+        ("3", 8, 100, 3),
+        ("100000", 2, 100, 2),  # clamped to the CPU count
+        ("100000", 64, 5, 5),  # clamped to the number of trials
+        ("100000", None, 100, 1),  # CPU count unknown
+        ("4", 8, 1, 1),
+        ("0", 8, 100, 1),
+        ("-3", 8, 100, 1),
+        ("2.5", 8, 100, 1),
+        ("many", 8, 100, 1),
+        ("", 8, 100, 1),
+    ],
+)
+def test_worker_count_clamp(raw, cpus, trials, expected):
+    assert _worker_count(raw, cpus, trials) == expected
 
 
 def test_summary_json_fields():
