@@ -199,6 +199,10 @@ def cmd_verify_proof(args) -> int:
     if step <= 0 or step > Fraction(1, 50):
         print("error: step must be a positive rational <= 1/50", file=sys.stderr)
         return EXIT_INVALID
+    if step < Fraction(1, 1000):
+        # a case scan visits about N^3/24 points at step 1/N
+        print("error: step must be >= 1/1000", file=sys.stderr)
+        return EXIT_INVALID
     if (Fraction(1, 2) / step).denominator != 1:
         print("error: step must divide 1/2", file=sys.stderr)
         return EXIT_INVALID
@@ -284,7 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-proof",
         help="re-run the rank-3 case analysis scans; JSON certificate to stdout",
     )
-    p.add_argument("--step", default="1/100", help="grid step as p/q (<= 1/50)")
+    p.add_argument(
+        "--step",
+        default="1/100",
+        help="grid step as p/q, from 1/1000 to 1/50, dividing 1/2",
+    )
     p.add_argument("--case", default=None, help="restrict to one case id")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_proof)

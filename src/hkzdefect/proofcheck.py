@@ -243,24 +243,34 @@ def kmin_region_contains(lam: Fraction, mu: Fraction) -> bool:
     the all-rational test (1 + lambda - mu)^2 <= lambda^2 + 2 lambda.  The
     region is empty below lambda = 1/4 exactly.
     """
-    if lam < QUARTER:
-        return False
-    return (1 + lam - mu) ** 2 <= lam * lam + 2 * lam
+    return _region_at(NEG_KMIN, lam, mu)
 
 
 def case_region_contains(case_id: str, lam: Fraction, mu: Fraction) -> bool:
     """Exact membership test for one case's (lambda, mu) region."""
     if not (0 <= lam <= HALF and 0 <= mu <= HALF):
         return False
+    return _region_at(case_id, lam, mu)
+
+
+def _region_at(case_id: str, lam: Fraction, mu: Fraction) -> bool:
+    lam, mu = Fraction(lam), Fraction(mu)
+    q = math.lcm(lam.denominator, mu.denominator)
+    return _region_contains_scaled(case_id, int(lam * q), int(mu * q), q)
+
+
+def _region_contains_scaled(case_id: str, i: int, j: int, q: int) -> bool:
+    """Region test at lambda = i/q, mu = j/q, inside the box [0, 1/2]^2."""
     if case_id == NEG_KMIN:
-        return kmin_region_contains(lam, mu)
+        # lambda >= 1/4 and (1 + lambda - mu)^2 <= lambda^2 + 2 lambda
+        return 4 * i >= q and (q + i - j) ** 2 <= i * i + 2 * i * q
     if case_id == POS_KMIN:
-        return mu <= 2 * lam
+        return j <= 2 * i
     if case_id == NEG_KMAX:
         # lambda = mu = 0 makes 1 - (1 - lam - mu)^2 vanish: the case is empty
         # there (the k ceiling degenerates to 0) and Q collapses to 0
         # identically, so the corner is excluded rather than scanned.
-        return lam != 0 or mu != 0
+        return i != 0 or j != 0
     if case_id == POS_KMAX:
         return True
     raise ValueError(f"unknown case {case_id!r}")
@@ -366,6 +376,65 @@ def case_quadratic(case_id: str, lam: Fraction, mu: Fraction) -> QuadraticCase:
     return QuadraticCase(case_id, a, b, c)
 
 
+def scaled_case_coefficients(
+    case_id: str, i: int, j: int, q: int
+) -> tuple[int, int, int]:
+    """12 q^4 (a, b, c) of `case_quadratic` at lambda = i/q, mu = j/q.
+
+    Each display has degree <= 4 in (lambda, mu), so the scaled coefficients
+    are integer polynomials in (i, j, q), expanded from the displays above
+    (the tests compare the two at every grid point of step 1/100).  The
+    region is not checked here.
+    """
+    q2 = q * q
+    if case_id in (NEG_KMIN, POS_KMIN):
+        big_a = q2 - i * i  # q^2 (1 - lambda^2)
+        a = 25 * big_a * big_a
+        if case_id == NEG_KMIN:
+            b = 50 * big_a * big_a - 24 * big_a * q2
+            gap = (q - i - j) ** 2
+        else:
+            b = 24 * big_a * q2 - 50 * big_a * big_a
+            gap = (i - j) ** 2
+        c = (
+            12 * q2 * q2
+            - 12 * gap * q2
+            - 37 * big_a * q2
+            + 12 * j * j * q2
+            + 25 * big_a * gap
+            + 25 * big_a * big_a
+        )
+        return a, b, c
+    # the k-maximal displays are symmetric in (lambda, mu) for NEG and in
+    # (lambda, -mu) for POS; regrouped in p = i j and s = i + j or d = i - j
+    p = i * j
+    if case_id == NEG_KMAX:
+        s = i + j
+        s2 = s * s
+        a = 25 * s2 * s2 + 48 * p * p - 100 * q * s * s2 + 100 * q2 * s2
+        b = -24 * (s2 * s2 - 2 * p * s2 - 4 * p * p - 2 * q * s * (s2 - 2 * p))
+        c = (
+            -37 * s2 * s2
+            + 48 * p * (s2 + p)
+            + q * s * (100 * s2 - 96 * p)
+            - 52 * q2 * s2
+        )
+        return a, b, c
+    if case_id == POS_KMAX:
+        d = i - j
+        d2 = d * d
+        a = 25 * d2 * d2 + 48 * p * p - 50 * q2 * d2 + 25 * q2 * q2
+        b = 24 * (d2 * d2 + 2 * p * d2 - 4 * p * p - q2 * (d2 + 2 * p))
+        c = (
+            -37 * d2 * d2
+            - 48 * p * (d2 - p)
+            + q2 * (50 * d2 + 48 * p)
+            - 13 * q2 * q2
+        )
+        return a, b, c
+    raise ValueError(f"unknown case {case_id!r}")
+
+
 def implied_k_l(
     case_id: str, lam: Fraction, mu: Fraction, sigma: Fraction
 ) -> tuple[Fraction, Fraction]:
@@ -441,6 +510,12 @@ def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanR
 
     `grid_step` must divide 1/2 so the corners of the parameter box are grid
     points.  The sigma endpoints (+-1/3, +-1/2) are always included exactly.
+
+    The values compared are exact integers: with grid_step = 1/q, lambda =
+    i/q, mu = j/q and sigma = s/D for D = lcm(q, 3), the scan evaluates
+    12 q^4 D^2 Q(sigma) = A s^2 + B D s + C D^2 from the integer coefficients
+    (A, B, C) of `scaled_case_coefficients`.  The scale is the same for the
+    whole case, so the maximum and the signs are those of Q itself.
     """
     grid_step = Fraction(grid_step)
     if grid_step <= 0 or (HALF / grid_step).denominator != 1:
@@ -448,44 +523,53 @@ def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanR
     if case_id not in ALL_CASES:
         raise ValueError(f"unknown case {case_id!r}")
     started = time.perf_counter()
+    q = grid_step.denominator  # a step dividing 1/2 is 1/q with q even
+    den = math.lcm(q, 3)
     lo, hi = sigma_interval(case_id)
-    sigmas = grid_points(lo, hi, grid_step)
-    lm_values = grid_points(Fraction(0), HALF, grid_step)
+    s_values = [int(sigma * den) for sigma in grid_points(lo, hi, grid_step)]
     checked = 0
-    max_value: Fraction | None = None
-    argmax: tuple[Fraction, Fraction, Fraction] | None = None
-    equalities: list[tuple[Fraction, Fraction, Fraction]] = []
-    violations: list[tuple[Fraction, Fraction, Fraction]] = []
-    for lam in lm_values:
-        for mu in lm_values:
-            if not case_region_contains(case_id, lam, mu):
+    best: int | None = None
+    argmax: tuple[int, int, int] | None = None
+    equalities: list[tuple[int, int, int]] = []
+    violations: list[tuple[int, int, int]] = []
+    for i in range(q // 2 + 1):
+        for j in range(q // 2 + 1):
+            if not _region_contains_scaled(case_id, i, j, q):
                 continue
-            quad = case_quadratic(case_id, lam, mu)
-            for sigma in sigmas:
-                value = quad.value(sigma)
-                checked += 1
-                if max_value is None or value > max_value:
-                    max_value = value
-                    argmax = (lam, mu, sigma)
-                if value == 0:
-                    equalities.append((lam, mu, sigma))
-                elif value > 0:
-                    violations.append((lam, mu, sigma))
-    if max_value is None:
+            a, b, c = scaled_case_coefficients(case_id, i, j, q)
+            b *= den
+            c *= den * den
+            values = [(a * s + b) * s + c for s in s_values]
+            checked += len(values)
+            # the first point of this row at its maximum is where a running
+            # "strictly greater" maximum would have moved to
+            top = max(values)
+            if best is None or top > best:
+                best = top
+                argmax = (i, j, s_values[values.index(top)])
+            if top >= 0:
+                for s, value in zip(s_values, values):
+                    if value == 0:
+                        equalities.append((i, j, s))
+                    elif value > 0:
+                        violations.append((i, j, s))
+    if best is None:
         raise RuntimeError(f"empty scan region for {case_id}")
 
     def to_point(triple):
-        lam, mu, sigma = triple
+        i, j, s = triple
+        lam, mu, sigma = Fraction(i, q), Fraction(j, q), Fraction(s, den)
         k, l = implied_k_l(case_id, lam, mu, sigma)
         return CasePoint(lam, mu, sigma, k, l)
 
-    roots = case_quadratic(case_id, argmax[0], argmax[1]).roots_float()
+    peak = to_point(argmax)
+    roots = case_quadratic(case_id, peak.lam, peak.mu).roots_float()
     return CaseScanReport(
         case_id=case_id,
         grid_step=grid_step,
         points_checked=checked,
-        max_value=max_value,
-        argmax=to_point(argmax),
+        max_value=Fraction(best, 12 * q**4 * den * den),
+        argmax=peak,
         equality_points=tuple(to_point(t) for t in equalities),
         violations=tuple(to_point(t) for t in violations),
         argmax_roots_float=roots,
@@ -523,7 +607,7 @@ def envelope_value(
 
 
 def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -533,21 +617,49 @@ def _poly_mul(p, q):
 
 def _poly_sub(p, q):
     n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else Fraction(0)) - (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    ]
+    return [(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)]
 
 
 def _poly_deriv(p):
-    return [i * a for i, a in enumerate(p)][1:] or [Fraction(0)]
+    return [i * a for i, a in enumerate(p)][1:] or [0]
 
 
-def _poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
+def _integer_poly(coeffs) -> tuple[list[int], int]:
+    """(integer coefficients, d > 0) with coeffs = integer coefficients / d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _envelope_polys(lam, mu, sigma, c_val, e_val, unit: Fraction):
+    """Integer forms of the envelope and its convexity numerator in m, where
+    k = m * unit.
+
+    The envelope is f = P/Q with P = (k + lam^2)(C + mu^2 + k (sigma^2 - E))
+    and Q = k (C - k E).  Returns (p, q, num, f_scale, num_scale), integer
+    coefficient lists and two positive rationals, with
+
+        f(k) = f_scale * p(m) / q(m),   Q(k) = q(m) / d  for some d > 0,
+        num2(k) = num_scale * num(m),
+
+    where num2 = (P'Q - PQ')'Q - 2 (P'Q - PQ') Q' is the numerator of f''
+    over Q^3: the quotient rule applied twice, with d/dk = (1/unit) d/dm.
+    """
+    first, d1 = _integer_poly([lam * lam, unit])
+    second, d2 = _integer_poly([c_val + mu * mu, unit * (sigma * sigma - e_val)])
+    q_poly, d3 = _integer_poly([Fraction(0), unit * c_val, -unit * unit * e_val])
+    p_poly = _poly_mul(first, second)
+    q1 = _poly_deriv(q_poly)
+    num1 = _poly_sub(_poly_mul(_poly_deriv(p_poly), q_poly), _poly_mul(p_poly, q1))
+    num2 = _poly_sub(
+        _poly_mul(_poly_deriv(num1), q_poly), _poly_mul([2], _poly_mul(num1, q1))
+    )
+    return (
+        p_poly,
+        q_poly,
+        num2,
+        Fraction(d3, d1 * d2),
+        Fraction(1) / (unit * unit * d1 * d2 * d3 * d3),
+    )
 
 
 def convexity_numerator(side: str, point: CasePoint) -> Fraction:
@@ -562,19 +674,9 @@ def convexity_numerator(side: str, point: CasePoint) -> Fraction:
     c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
     if k <= 0 or c_val - k * e_val <= 0:
         raise ValueError("outside case region: k and N(k) must be positive")
-    # f = P/Q with P = (k + lam^2)((C + mu^2) + k (sigma^2 - E)), Q = k(C - kE)
-    p_poly = _poly_mul(
-        [lam * lam, Fraction(1)], [c_val + mu * mu, sigma * sigma - e_val]
-    )
-    q_poly = [Fraction(0), c_val, -e_val]
-    p1 = _poly_deriv(p_poly)
-    q1 = _poly_deriv(q_poly)
-    num1 = _poly_sub(_poly_mul(p1, q_poly), _poly_mul(p_poly, q1))
-    num2 = _poly_sub(
-        _poly_mul(_poly_deriv(num1), q_poly),
-        _poly_mul([Fraction(2)], _poly_mul(num1, q1)),
-    )
-    return _poly_eval(num2, k)
+    # unit = k puts the point at m = 1
+    _p, _q, num2, _f_scale, num_scale = _envelope_polys(lam, mu, sigma, c_val, e_val, k)
+    return num_scale * sum(num2)
 
 
 def envelope_second_difference(
@@ -603,6 +705,10 @@ def _envelope_value_float(side, lam, mu, sigma, k) -> float:
 def envelope_second_difference_float(side: str, point: CasePoint, step: float) -> float:
     lam, mu = float(point.lam), float(point.mu)
     sigma, k = float(point.sigma), float(point.k)
+    return _second_difference_float(side, lam, mu, sigma, k, step)
+
+
+def _second_difference_float(side, lam, mu, sigma, k, step) -> float:
     return (
         _envelope_value_float(side, lam, mu, sigma, k - step)
         - 2.0 * _envelope_value_float(side, lam, mu, sigma, k)
@@ -728,6 +834,24 @@ class ConvexityCertificate:
         )
 
 
+def _second_difference_scaled(p_poly, q_poly, m: int, step: int):
+    """p/q(m - step) - 2 p/q(m) + p/q(m + step) as integers (n, d) with d > 0."""
+    (pa, pb, pc), (qa, qb, qc) = (
+        [(c2 * x + c1) * x + c0 for x in (m - step, m, m + step)]
+        for c0, c1, c2 in (p_poly, q_poly)
+    )
+    # q has the sign of Q(k) = k N(k), and comparing n/d by cross-products
+    # needs d > 0
+    if min(qa, qb, qc) <= 0:
+        raise ValueError("outside case region: k and N(k) must be positive")
+    return pa * qb * qc - 2 * pb * qa * qc + pc * qa * qb, qa * qb * qc
+
+
+def _ratio_less(x, y) -> bool:
+    """x[0]/x[1] < y[0]/y[1] for positive denominators."""
+    return x[0] * y[1] < y[0] * x[1]
+
+
 def convexity_scan(
     case_id: str,
     per_axis: int = 10,
@@ -740,6 +864,14 @@ def convexity_scan(
     >= -1e-12.  The first `compare_displays` samples are also evaluated
     against the verbatim numerator displays.  With `keep_samples` the
     certificate retains every per-point record.
+
+    The samples sit at k = k_top t/(per_axis + 1), t = 1..per_axis, with
+    k_top = C/E and h = k_top/(4 (per_axis + 1)).  All five abscissae
+    k - h, k - h/2, k, k + h/2, k + h are integer multiples m of one unit
+    per (lambda, mu, sigma), so both second differences, the numerator and
+    their minima are compared as exact integers over that triple's positive
+    scales (`_envelope_polys`); a `Fraction` is built only for a triple's
+    minima and for reported samples.
     """
     if case_id not in ALL_CASES:
         raise ValueError(f"unknown case {case_id!r}")
@@ -747,6 +879,7 @@ def convexity_scan(
     lo, hi = sigma_interval(case_id)
     lam_grid = [Fraction(i, 2 * (per_axis - 1)) for i in range(per_axis)]
     sig_grid = [lo + (hi - lo) * Fraction(i, per_axis - 1) for i in range(per_axis)]
+    parts = per_axis + 1
     checked = 0
     min_num: Fraction | None = None
     min_sd: Fraction | None = None
@@ -754,35 +887,70 @@ def convexity_scan(
     matches = {name: True for name, _fn in _DISPLAYS[side]}
     worst: ConvexitySample | None = None
     kept: list[ConvexitySample] = []
-    for lam in lam_grid:
-        for mu in lam_grid:
-            if not case_region_contains(case_id, lam, mu):
-                continue
-            for sigma in sig_grid:
-                c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
-                k_top = c_val / e_val
-                h = k_top / (4 * (per_axis + 1))
-                for t in range(1, per_axis + 1):
-                    k = k_top * Fraction(t, per_axis + 1)
-                    point = CasePoint(lam, mu, sigma, k, c_val - k * e_val)
-                    num = convexity_numerator(side, point)
-                    sd = envelope_second_difference(side, point, h)
-                    sd_half = envelope_second_difference(side, point, h / 2)
-                    fcheck = envelope_second_difference_float(side, point, float(h))
-                    checked += 1
-                    if keep_samples:
-                        kept.append(ConvexitySample(point, num, sd, sd_half, fcheck))
-                    if checked <= compare_displays:
-                        for name, fn in _DISPLAYS[side]:
-                            if matches[name] and fn(lam, mu, sigma, k) != num:
-                                matches[name] = False
-                    sd_min = min(sd, sd_half)
-                    if min_num is None or num < min_num:
-                        min_num = num
-                    if min_sd is None or sd_min < min_sd:
-                        min_sd = sd_min
-                        worst = ConvexitySample(point, num, sd, sd_half, fcheck)
-                    min_float = min(min_float, fcheck)
+
+    def exact(t, num, sd, sd_half, fcheck) -> ConvexitySample:
+        # the record of sample t of the current (lam, mu, sigma) as rationals
+        k = k_top * Fraction(t, parts)
+        return ConvexitySample(
+            CasePoint(lam, mu, sigma, k, c_val - k * e_val),
+            num_scale * num,
+            f_scale * Fraction(*sd),
+            f_scale * Fraction(*sd_half),
+            fcheck,
+        )
+
+    triples = [
+        (lam, mu, sigma)
+        for lam in lam_grid
+        for mu in lam_grid
+        if case_region_contains(case_id, lam, mu)
+        for sigma in sig_grid
+    ]
+    for lam, mu, sigma in triples:
+        c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
+        k_top = c_val / e_val
+        # unit h/2 puts sample t at m = 8t, k -+ h at 8t -+ 2, k -+ h/2 at 8t -+ 1
+        p_poly, q_poly, num2, f_scale, num_scale = _envelope_polys(
+            lam, mu, sigma, c_val, e_val, k_top / (8 * parts)
+        )
+        floats = float(lam), float(mu), float(sigma)
+        h_float = float(k_top / (4 * parts))
+        row = []  # (t, num, sd, sd_half, fcheck), scaled integers but fcheck
+        for t in range(1, parts):
+            m = 8 * t
+            num = 0
+            for coeff in reversed(num2):
+                num = num * m + coeff
+            # float(k) of the exact k: int / int division rounds correctly
+            k_float = k_top.numerator * t / (k_top.denominator * parts)
+            fcheck = _second_difference_float(side, *floats, k_float, h_float)
+            sd = _second_difference_scaled(p_poly, q_poly, m, 2)
+            sd_half = _second_difference_scaled(p_poly, q_poly, m, 1)
+            row.append((t, num, sd, sd_half, fcheck))
+        best = best_low = None
+        for record in row:
+            checked += 1
+            if keep_samples or checked <= compare_displays:
+                sample = exact(*record)
+                if keep_samples:
+                    kept.append(sample)
+                if checked <= compare_displays:
+                    k, num = sample.point.k, sample.numerator
+                    for name, fn in _DISPLAYS[side]:
+                        if matches[name] and fn(lam, mu, sigma, k) != num:
+                            matches[name] = False
+            _t, _num, sd, sd_half, fcheck = record
+            low = sd_half if _ratio_less(sd_half, sd) else sd
+            if best is None or _ratio_less(low, best_low):
+                best, best_low = record, low
+            min_float = min(min_float, fcheck)
+        row_min_num = num_scale * min(record[1] for record in row)
+        if min_num is None or row_min_num < min_num:
+            min_num = row_min_num
+        row_min_sd = f_scale * Fraction(*best_low)
+        if min_sd is None or row_min_sd < min_sd:
+            min_sd = row_min_sd
+            worst = exact(*best)
     if min_num is None:
         raise RuntimeError(f"empty convexity region for {case_id}")
     return ConvexityCertificate(

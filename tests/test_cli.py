@@ -4,7 +4,6 @@ from fractions import Fraction as Fr
 import pytest
 
 from hkzdefect import cli, format_gram_text
-from hkzdefect.proofcheck import QuadraticCase
 
 
 EXTREMAL_TEXT = "3\n1 1/2 1/2\n1/2 5/4 3/4\n1/2 3/4 5/4\n"
@@ -119,26 +118,69 @@ def test_verify_proof_rejects_coarse_step(capsys):
     assert cli.main(["verify-proof", "--step", "nonsense"]) == 2
 
 
+def test_verify_proof_rejects_fine_step(monkeypatch, capsys):
+    # 1/1002 divides 1/2 but is below the 1/1000 floor: refused before any scan
+    from hkzdefect import proofcheck
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify-proof started a scan")
+
+    monkeypatch.setattr(proofcheck, "run_full_verification", no_work)
+    assert cli.main(["verify-proof", "--step", "1/1002"]) == 3
+    assert cli.main(["verify-proof", "--step", "1/1000000"]) == 3
+    assert "1/1000" in capsys.readouterr().err
+
+
 def test_verify_proof_rejects_unknown_case(capsys):
     assert cli.main(["verify-proof", "--case", "DIAGONAL"]) == 3
 
 
 def test_verify_proof_corrupted_coefficients(monkeypatch, capsys):
-    # negative control: poison one coefficient table and expect exit 1
+    # negative control: poison the integer coefficients the scan evaluates,
+    # c + 1/10 scaled by 12 q^4 (exact at q = 50), and expect exit 1
     from hkzdefect import proofcheck
 
-    real = proofcheck.case_quadratic
+    real = proofcheck.scaled_case_coefficients
 
-    def corrupted(case_id, lam, mu):
-        quad = real(case_id, lam, mu)
-        return QuadraticCase(quad.case_id, quad.a, quad.b, quad.c + Fr(1, 10))
+    def corrupted(case_id, i, j, q):
+        a, b, c = real(case_id, i, j, q)
+        assert 12 * q**4 % 10 == 0
+        return a, b, c + 12 * q**4 // 10
 
-    monkeypatch.setattr(proofcheck, "case_quadratic", corrupted)
+    monkeypatch.setattr(proofcheck, "scaled_case_coefficients", corrupted)
     code = cli.main(["verify-proof", "--step", "1/50", "--case", "NEG_KMIN"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_passed"] is False
     assert payload["cases"]["NEG_KMIN"]["violations"]
+
+
+def test_verify_proof_corrupted_convexity(monkeypatch, capsys):
+    # negative control: flip the envelope of the first (lambda, mu, sigma)
+    # triple only; its second differences turn negative and nothing else does
+    from hkzdefect import proofcheck
+
+    real = proofcheck._envelope_polys
+    calls = []
+
+    def corrupted(*args):
+        p_poly, q_poly, num2, f_scale, num_scale = real(*args)
+        calls.append(args)
+        if len(calls) == 1:
+            p_poly = [-coeff for coeff in p_poly]
+        return p_poly, q_poly, num2, f_scale, num_scale
+
+    monkeypatch.setattr(proofcheck, "_envelope_polys", corrupted)
+    code = cli.main(["verify-proof", "--step", "1/50", "--case", "NEG_KMIN"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["all_passed"] is False
+    assert payload["cases"]["NEG_KMIN"]["passed"] is True
+    cert = payload["convexity"]["NEG_KMIN"]
+    assert cert["passed"] is False
+    assert Fr(cert["min_second_difference"]) < 0
+    assert Fr(cert["min_numerator"]) >= 0
+    assert cert["min_float_check"] >= -1e-12
 
 
 def test_experiment_writes_csv(tmp_path, capsys):
