@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 invalid
-input, 4 unsupported parameter.  All exact quantities are printed as p/q
-strings; decimal renderings are 12 significant digits and are informational
-only.
+Exit codes: 0 success, 1 verification failure, 2 parse error or unreadable
+input file, 3 invalid input or unwritable --out file, 4 unsupported
+parameter.  All exact quantities are printed as p/q strings; decimal
+renderings are 12 significant digits and are informational only.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .core import (
     GramFormatError,
-    NotPositiveDefiniteError,
     format_gram_text,
     format_rat,
     load_gram,
@@ -53,26 +52,29 @@ EXIT_UNSUPPORTED = 4
 def _read_gram(path: str):
     try:
         return load_gram(path), EXIT_OK
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
         return None, EXIT_PARSE
     except GramFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_PARSE
-    except NotPositiveDefiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_INVALID
-    except ValueError as exc:
+    except ValueError as exc:  # includes NotPositiveDefiniteError
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_INVALID
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None) -> int:
+    """Write `text` to `out_path`, or to stdout; returns the exit code."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INVALID
     else:
         print(text, end="" if text.endswith("\n") else "\n")
+    return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
@@ -93,7 +95,7 @@ def cmd_reduce(args) -> int:
             "svp_calls": report.svp_calls,
             "total_nodes": report.total_nodes,
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        return _emit(json.dumps(payload, indent=2), args.out)
     else:
         lines = []
         if report.transform.is_identity():
@@ -106,8 +108,7 @@ def cmd_reduce(args) -> int:
         lines.append(f"HKZ certified: {cert.ok}")
         lines.append(f"defect = {format_rat(defect)} ({decimal_str(defect)})")
         lines.append(f"svp calls: {report.svp_calls}, nodes: {report.total_nodes}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return _emit("\n".join(lines) + "\n", args.out)
 
 
 def cmd_defect(args) -> int:
@@ -117,10 +118,9 @@ def cmd_defect(args) -> int:
     defect = orthogonality_defect(gram)
     if args.format == "json":
         payload = {"defect": format_rat(defect), "defect_float": float(defect)}
-        _emit(json.dumps(payload, indent=2), args.out)
+        return _emit(json.dumps(payload, indent=2), args.out)
     else:
-        _emit(f"defect = {format_rat(defect)} ({decimal_str(defect)})\n", args.out)
-    return EXIT_OK
+        return _emit(f"defect = {format_rat(defect)} ({decimal_str(defect)})\n", args.out)
 
 
 def cmd_minima(args) -> int:
@@ -139,7 +139,7 @@ def cmd_minima(args) -> int:
             "minima_sq": [format_rat(v) for v in minima.minima_sq],
             "witnesses": [list(w) for w in minima.witnesses],
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        return _emit(json.dumps(payload, indent=2), args.out)
     else:
         lines = []
         for i, (value, witness) in enumerate(
@@ -150,8 +150,7 @@ def cmd_minima(args) -> int:
                 f"lambda_{i}^2 = {format_rat(value)} ({decimal_str(value)})"
                 f"  witness coeffs: {coeffs}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return _emit("\n".join(lines) + "\n", args.out)
 
 
 def cmd_bounds(args) -> int:
@@ -167,9 +166,9 @@ def cmd_bounds(args) -> int:
         return EXIT_INVALID
     rows = bound_table(args.max_rank)
     if args.format == "json":
-        _emit(bound_table_json(rows), args.out)
+        return _emit(bound_table_json(rows), args.out)
     elif args.format == "csv":
-        _emit(bound_table_csv(rows), args.out)
+        return _emit(bound_table_csv(rows), args.out)
     else:
         lines = [
             f"{'n':>2}  {'gamma_n^n':>12}  {'product bound':>16}"
@@ -186,8 +185,7 @@ def cmd_bounds(args) -> int:
                 f"{row.n:>2}  {format_rat(row.gamma_pow):>12}"
                 f"  {format_rat(row.lls_bound):>16}  {newb:>30}  {exact:>10}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return _emit("\n".join(lines) + "\n", args.out)
 
 
 def cmd_verify_proof(args) -> int:
@@ -217,11 +215,13 @@ def cmd_verify_proof(args) -> int:
             return EXIT_INVALID
         cases = (args.case,)
     result = proofcheck.run_full_verification(step, cases)
-    _emit(json.dumps(proofcheck.verification_json_dict(result), indent=2), args.out)
-    if not result.all_passed:
+    code = _emit(
+        json.dumps(proofcheck.verification_json_dict(result), indent=2), args.out
+    )
+    if code == EXIT_OK and not result.all_passed:
         print("verification FAILED", file=sys.stderr)
         return EXIT_VERIFICATION
-    return EXIT_OK
+    return code
 
 
 def cmd_experiment(args) -> int:
@@ -240,14 +240,10 @@ def cmd_experiment(args) -> int:
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    csv_text = records_to_csv(result.records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(csv_text)
-    else:
-        print(csv_text, end="")
-    print(summary_json(result))
-    return EXIT_OK
+    code = _emit(records_to_csv(result.records), args.out)
+    if code == EXIT_OK:
+        print(summary_json(result))
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -316,17 +316,15 @@ def apply_unimodular(gram: GramMatrix, transform: Unimodular) -> GramMatrix:
     n = gram.n
     if transform.n != n:
         raise ValueError("dimension mismatch")
-    u = transform.entries
-    # tmp = U G
-    tmp = [
-        [sum(Fraction(u[i][k]) * gram[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    rows = [
-        [sum(tmp[i][k] * u[j][k] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    return GramMatrix.from_rows(rows)
+    g = gram.entries
+    # nonzero entries of each row of U; every row has one, so sums are Fractions
+    support = [[(k, c) for k, c in enumerate(row) if c] for row in transform.entries]
+    ug = [[sum(g[k][j] * c for k, c in row) for j in range(n)] for row in support]
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = sum(ug[i][k] * c for k, c in support[j])
+    return GramMatrix(tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +360,11 @@ def parse_gram_text(text: str) -> GramMatrix:
             )
         row = []
         for j, token in enumerate(parts):
+            # Fraction() also reads exponents, and 10**exponent is unbounded
+            if "e" in token or "E" in token:
+                raise GramFormatError(
+                    f"exponent notation not allowed: {token!r}", lineno, j + 1
+                )
             try:
                 row.append(Fraction(token))
             except (ValueError, ZeroDivisionError):
@@ -369,6 +372,9 @@ def parse_gram_text(text: str) -> GramMatrix:
                     f"invalid rational {token!r}", lineno, j + 1
                 ) from None
         rows.append(row)
+    for extra, line in enumerate(lines[n + 1 :], start=n + 2):
+        if line.strip():
+            raise GramFormatError(f"unexpected line after row {n}", extra)
     for i in range(n):
         for j in range(i):
             if rows[i][j] != rows[j][i]:

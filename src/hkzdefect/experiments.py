@@ -34,6 +34,7 @@ from .core import (
 from .proofcheck import extremal_gram
 from .reduction import (
     InequalityCheck,
+    PropositionReport,
     _minima_from_gso,
     check_propositions,
     hkz_reduce,
@@ -109,14 +110,19 @@ class ChainReport:
     bstar_vs_fourth: tuple[InequalityCheck, ...]
     norm_vs_projected: tuple[InequalityCheck, ...]
     norm_vs_projected_minima: tuple[InequalityCheck, ...]
-    bstar_vs_full_minima: tuple[InequalityCheck, ...]
+    propositions: PropositionReport
+
+    @property
+    def bstar_vs_full_minima(self) -> tuple[InequalityCheck, ...]:
+        """||b_i(i)||^2 <= lambda_i^2 in the full lattice."""
+        return self.propositions.bstar_vs_minima
 
     def all_checks(self) -> tuple[InequalityCheck, ...]:
         return (
             self.bstar_vs_fourth
             + self.norm_vs_projected
             + self.norm_vs_projected_minima
-            + self.bstar_vs_full_minima
+            + self.propositions.all_checks()
         )
 
     @property
@@ -134,14 +140,13 @@ def check_defect_chain(gram: GramMatrix) -> ChainReport:
       * ||b_i||^2 <= ||b_i(4)||^2 + 29/24 B4 for i >= 4;
       * ||b_i||^2 <= (i/4 + 29/24) lambda_{i-3}^2 of the lattice projected
         past b_1, b_2, b_3 (its minima indexed from 1);
-      * ||b_i(i)||^2 <= lambda_i^2 in the full lattice.
+      * every family of `check_propositions`, which certifies the input and
+        includes ||b_i(i)||^2 <= lambda_i^2 in the full lattice.
     """
     n = gram.n
     if not 4 <= n <= MAX_EXPERIMENT_RANK:
         raise ValueError(f"chain check needs rank 4..{MAX_EXPERIMENT_RANK}")
-    cert = is_hkz_reduced(gram)
-    if not cert.ok:
-        raise ValueError(f"input not HKZ certified: {cert.failing_condition}")
+    propositions = check_propositions(gram)
     gso = ldl(gram)
     block_ok = is_hkz_reduced(gram.submatrix(3)).ok
     b4 = gso.bstar[3]
@@ -175,21 +180,12 @@ def check_defect_chain(gram: GramMatrix) -> ChainReport:
         )
         for i in range(3, n)
     )
-    full_minima = [m for m, _ in _minima_from_gso(gso.mu, gso.bstar)]
-    bstar_vs_full = tuple(
-        InequalityCheck(
-            f"||b_{i + 1}({i + 1})||^2 <= lambda_{i + 1}^2",
-            gso.bstar[i],
-            full_minima[i],
-        )
-        for i in range(n)
-    )
     return ChainReport(
         leading_block_hkz=block_ok,
         bstar_vs_fourth=bstar_vs_fourth,
         norm_vs_projected=tuple(norm_vs_projected),
         norm_vs_projected_minima=norm_vs_minima,
-        bstar_vs_full_minima=bstar_vs_full,
+        propositions=propositions,
     )
 
 
@@ -237,10 +233,7 @@ def _run_trial(args: tuple[ExperimentConfig, int]) -> TrialRecord:
         )
     chain_ok: bool | None = None
     if n >= 4:
-        chain_ok = (
-            check_defect_chain(report.reduced).ok
-            and check_propositions(report.reduced).ok
-        )
+        chain_ok = check_defect_chain(report.reduced).ok
     return TrialRecord(
         trial=trial,
         rank=n,

@@ -476,7 +476,9 @@ def check_propositions(gram: GramMatrix) -> PropositionReport:
     """
     cert = is_hkz_reduced(gram)
     if not cert.ok:
-        raise ValueError(f"input not HKZ reduced: {cert.failing_condition}")
+        raise ValueError(
+            f"input not HKZ reduced (not HKZ certified: {cert.failing_condition})"
+        )
     gso = ldl(gram)
     minima = [norm_sq for norm_sq, _ in _minima_from_gso(gso.mu, gso.bstar)]
     n = gram.n

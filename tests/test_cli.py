@@ -48,6 +48,39 @@ def test_reduce_not_positive_definite(tmp_path, capsys):
     assert "pivot 2" in capsys.readouterr().err
 
 
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    assert cli.main(["reduce", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}:")
+    assert cli.main(["minima", str(tmp_path / "missing.gram")]) == 2
+
+
+def test_exponent_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "exp.gram"
+    path.write_text("1\n1e2000000\n")
+    assert cli.main(["defect", str(path)]) == 2
+    assert "line 2, entry 1: exponent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "{gram}"],
+        ["minima", "{gram}", "--format", "json"],
+        ["bounds", "--max-rank", "3"],
+        ["experiment", "--rank", "2", "--trials", "2"],
+    ],
+)
+def test_unwritable_out_exits_3(argv, extremal_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    argv = [a.format(gram=extremal_file) for a in argv] + ["--out", str(out)]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: cannot write {out}: No such file or directory"
+    ]
+
+
 def test_defect_json_roundtrip(extremal_file, capsys):
     code = cli.main(["defect", extremal_file, "--format", "json"])
     assert code == 0

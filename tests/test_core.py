@@ -166,6 +166,22 @@ def test_parse_rejects_bad_token():
         parse_gram_text("2\n1 x\n0 1\n")
 
 
+def test_parse_rejects_exponent_notation():
+    # Fraction() would build 10**2000000 before any other check
+    with pytest.raises(GramFormatError, match="line 2, entry 1: exponent"):
+        parse_gram_text("1\n1e2000000\n")
+    with pytest.raises(GramFormatError, match="line 3, entry 2: exponent"):
+        parse_gram_text("2\n1 0\n0 1E0\n")
+
+
+def test_parse_rejects_extra_rows():
+    with pytest.raises(GramFormatError, match="line 4: unexpected line after row 2"):
+        parse_gram_text("2\n1 0\n0 1\n7 7 7\n")
+    with pytest.raises(GramFormatError, match="line 5"):
+        parse_gram_text("2\n1 0\n0 1\n\n7\n")
+    assert parse_gram_text("2\n1 0\n0 1\n\n  \n") == parse_gram_text("2\n1 0\n0 1")
+
+
 def test_parse_rejects_short_row():
     with pytest.raises(GramFormatError, match="expected 2 entries"):
         parse_gram_text("2\n1\n0 1\n")

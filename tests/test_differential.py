@@ -126,6 +126,7 @@ def test_check_minima_match_successive_minima(index):
         if not 4 <= basis.n <= 6:
             continue
         chain = check_defect_chain(basis)
+        assert chain.propositions == report
         assert tuple(c.rhs for c in chain.bstar_vs_full_minima) == full
         tail = successive_minima(projected_gram(basis, 4)).minima_sq
         factors = [Fr(i + 1, 4) + Fr(29, 24) for i in range(3, basis.n)]

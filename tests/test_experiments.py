@@ -15,6 +15,7 @@ from hkzdefect import (
     run_experiment,
     summary_json,
 )
+from hkzdefect import experiments, reduction
 from hkzdefect.experiments import _A2_GRAM, _trial_gram, _worker_count
 
 
@@ -96,6 +97,29 @@ def test_run_experiment_rank4_chain_and_bounds():
         assert record.defect <= record.new_bound <= record.lls_bound
         assert record.chain_ok is True
         assert record.nodes > 0
+
+
+def test_each_trial_certified_once(monkeypatch):
+    # one certificate for the basis and one for its leading block, and one
+    # full-rank minima enumeration, per trial
+    monkeypatch.delenv("HKZ_THREADS", raising=False)
+    certify, minima = reduction.is_hkz_reduced, reduction._minima_from_gso
+    calls = {"certified": 0, "full_minima": 0}
+
+    def counting_certify(gram):
+        calls["certified"] += 1
+        return certify(gram)
+
+    def counting_minima(mu, bstar):
+        calls["full_minima"] += len(bstar) == 5
+        return minima(mu, bstar)
+
+    for module in (reduction, experiments):
+        monkeypatch.setattr(module, "is_hkz_reduced", counting_certify)
+        monkeypatch.setattr(module, "_minima_from_gso", counting_minima)
+    result = run_experiment(ExperimentConfig(rank=5, trials=4, seed=1))
+    assert all(record.chain_ok for record in result.records)
+    assert calls == {"certified": 8, "full_minima": 4}
 
 
 def test_csv_reproducible_and_exact():

@@ -78,6 +78,23 @@ def test_reduced_is_transformed_input(gram):
 
 
 @PROPERTY_SETTINGS
+@given(st.data())
+def test_apply_unimodular_matches_naive_product(data):
+    gram = data.draw(grams())
+    transform = data.draw(unimodulars(gram.n))
+    u, n = transform.entries, gram.n
+    ug = [
+        [sum(Fr(u[i][k]) * gram[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    naive = [
+        [sum(ug[i][k] * u[j][k] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    assert apply_unimodular(gram, transform) == GramMatrix.from_rows(naive)
+
+
+@PROPERTY_SETTINGS
 @given(grams())
 def test_hkz_reduce_is_certified_and_idempotent(gram):
     reduced = hkz_reduce(gram).reduced
