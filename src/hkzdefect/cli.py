@@ -55,6 +55,9 @@ def _read_gram(path: str):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
         return None, EXIT_PARSE
+    except UnicodeDecodeError as exc:  # a ValueError, but unreadable input
+        print(f"error: cannot read {path}: not UTF-8 ({exc.reason})", file=sys.stderr)
+        return None, EXIT_PARSE
     except GramFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_PARSE
@@ -256,23 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reduce", help="HKZ-reduce a Gram matrix file")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("defect", help="orthogonality defect of a Gram matrix file")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_defect)
-
-    p = sub.add_parser("minima", help="successive minima with witnesses (rank <= 6)")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_minima)
+    for name, help_text, func in (
+        ("reduce", "HKZ-reduce a Gram matrix file", cmd_reduce),
+        ("defect", "orthogonality defect of a Gram matrix file", cmd_defect),
+        ("minima", "successive minima with witnesses (rank <= 6)", cmd_minima),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("bounds", help="defect bound table for ranks 1..N")
     p.add_argument("--max-rank", type=int, required=True)

@@ -9,6 +9,7 @@ Gram matrix.  No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,10 +97,6 @@ class GramMatrix:
 
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self.entries[i][i] for i in range(self.n))
-
-    def submatrix(self, size: int) -> "GramMatrix":
-        """Leading principal `size` x `size` block."""
-        return GramMatrix(tuple(row[:size] for row in self.entries[:size]))
 
     def scaled(self, factor) -> "GramMatrix":
         c = _to_rat(factor)
@@ -330,6 +327,9 @@ def apply_unimodular(gram: GramMatrix, transform: Unimodular) -> GramMatrix:
 # ---------------------------------------------------------------------------
 # text format: line 1 is n, then n rows of n whitespace-separated rationals
 
+# ASCII integers and p/q only: Fraction() alone also takes 0.5, 1_000 and ١
+_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def parse_gram_text(text: str) -> GramMatrix:
     """Parse the Gram matrix text format, rejecting asymmetric or non-PD input.
@@ -366,6 +366,8 @@ def parse_gram_text(text: str) -> GramMatrix:
                     f"exponent notation not allowed: {token!r}", lineno, j + 1
                 )
             try:
+                if not _RATIONAL_TOKEN.fullmatch(token):
+                    raise ValueError(token)
                 row.append(Fraction(token))
             except (ValueError, ZeroDivisionError):
                 raise GramFormatError(

@@ -32,14 +32,7 @@ from .core import (
     ldl,
 )
 from .proofcheck import extremal_gram
-from .reduction import (
-    InequalityCheck,
-    PropositionReport,
-    _minima_from_gso,
-    check_propositions,
-    hkz_reduce,
-    is_hkz_reduced,
-)
+from .reduction import check_defect_chain, hkz_reduce
 
 MAX_EXPERIMENT_RANK = 6
 
@@ -99,94 +92,6 @@ def random_gram(rank: int, seed: int, entry_bound: int = 10) -> GramMatrix:
             continue
         return gram
     raise RuntimeError("could not draw a nonsingular generator in 1000 attempts")
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Exact verification of the inequality chain behind the rank-split bound,
-    for a certified HKZ-reduced basis of rank >= 4."""
-
-    leading_block_hkz: bool
-    bstar_vs_fourth: tuple[InequalityCheck, ...]
-    norm_vs_projected: tuple[InequalityCheck, ...]
-    norm_vs_projected_minima: tuple[InequalityCheck, ...]
-    propositions: PropositionReport
-
-    @property
-    def bstar_vs_full_minima(self) -> tuple[InequalityCheck, ...]:
-        """||b_i(i)||^2 <= lambda_i^2 in the full lattice."""
-        return self.propositions.bstar_vs_minima
-
-    def all_checks(self) -> tuple[InequalityCheck, ...]:
-        return (
-            self.bstar_vs_fourth
-            + self.norm_vs_projected
-            + self.norm_vs_projected_minima
-            + self.propositions.all_checks()
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.leading_block_hkz and all(c.holds for c in self.all_checks())
-
-
-def check_defect_chain(gram: GramMatrix) -> ChainReport:
-    """Verify, exactly, every link used to bound the defect of a rank >= 4
-    HKZ basis by the rank-3 maximum times per-index factors:
-
-      * the leading 3x3 block is itself HKZ reduced;
-      * ||b_1||^2 <= 2 B4, ||b_2(2)||^2 <= 3/2 B4, ||b_3(3)||^2 <= 4/3 B4,
-        writing B4 for ||b_4(4)||^2;
-      * ||b_i||^2 <= ||b_i(4)||^2 + 29/24 B4 for i >= 4;
-      * ||b_i||^2 <= (i/4 + 29/24) lambda_{i-3}^2 of the lattice projected
-        past b_1, b_2, b_3 (its minima indexed from 1);
-      * every family of `check_propositions`, which certifies the input and
-        includes ||b_i(i)||^2 <= lambda_i^2 in the full lattice.
-    """
-    n = gram.n
-    if not 4 <= n <= MAX_EXPERIMENT_RANK:
-        raise ValueError(f"chain check needs rank 4..{MAX_EXPERIMENT_RANK}")
-    propositions = check_propositions(gram)
-    gso = ldl(gram)
-    block_ok = is_hkz_reduced(gram.submatrix(3)).ok
-    b4 = gso.bstar[3]
-    bstar_vs_fourth = tuple(
-        InequalityCheck(label, gso.bstar[i], factor * b4)
-        for i, factor, label in (
-            (0, Fraction(2), "||b_1||^2 <= 2 ||b_4(4)||^2"),
-            (1, Fraction(3, 2), "||b_2(2)||^2 <= 3/2 ||b_4(4)||^2"),
-            (2, Fraction(4, 3), "||b_3(3)||^2 <= 4/3 ||b_4(4)||^2"),
-        )
-    )
-    norm_vs_projected = []
-    for i in range(3, n):
-        proj_norm = gso.bstar[i] + sum(
-            gso.mu[i][j] ** 2 * gso.bstar[j] for j in range(3, i)
-        )
-        norm_vs_projected.append(
-            InequalityCheck(
-                f"||b_{i + 1}||^2 <= ||b_{i + 1}(4)||^2 + 29/24 ||b_4(4)||^2",
-                gram[i][i],
-                proj_norm + Fraction(29, 24) * b4,
-            )
-        )
-    tail_mu = tuple(row[3:] for row in gso.mu[3:])
-    tail_minima = [m for m, _ in _minima_from_gso(tail_mu, gso.bstar[3:])]
-    norm_vs_minima = tuple(
-        InequalityCheck(
-            f"||b_{i + 1}||^2 <= ({i + 1}/4 + 29/24) lambda_{i - 2}(4)^2",
-            gram[i][i],
-            (Fraction(i + 1, 4) + Fraction(29, 24)) * tail_minima[i - 3],
-        )
-        for i in range(3, n)
-    )
-    return ChainReport(
-        leading_block_hkz=block_ok,
-        bstar_vs_fourth=bstar_vs_fourth,
-        norm_vs_projected=tuple(norm_vs_projected),
-        norm_vs_projected_minima=norm_vs_minima,
-        propositions=propositions,
-    )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Everything here runs in exact rational arithmetic, so reduction outcomes and
 shortness certificates are exact statements, not floating-point approximations.
-Ranks are desk scale (enumeration is exhaustive); successive minima are capped
-at rank 6.
+Ranks are desk scale (enumeration is exhaustive); successive minima, and the
+proposition and chain checks built on them, are capped at rank 6.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .core import (
     apply_unimodular,
     int_identity,
     ldl,
-    quadratic_form_value,
 )
 
 MAX_MINIMA_RANK = 6
@@ -332,8 +331,11 @@ def hkz_reduce(gram: GramMatrix) -> ReductionReport:
 def is_hkz_reduced(gram: GramMatrix) -> HKZCertificate:
     """Certify the HKZ conditions: size reduction plus, at every level, the
     projected first vector being a shortest vector of the projected lattice."""
-    gso = ldl(gram)
-    n = gram.n
+    return _certify(ldl(gram))
+
+
+def _certify(gso: GSOData) -> HKZCertificate:
+    n = gso.n
     half = Fraction(1, 2)
     for i in range(1, n):
         for j in range(i):
@@ -344,8 +346,7 @@ def is_hkz_reduced(gram: GramMatrix) -> HKZCertificate:
                 )
     for level in range(n):
         sub_mu = tuple(tuple(gso.mu[i][level:i]) for i in range(level, n))
-        sub_bstar = gso.bstar[level:]
-        best = _shortest_from_gso(sub_mu, sub_bstar)
+        best = _shortest_from_gso(sub_mu, gso.bstar[level:])
         if best.norm_sq < gso.bstar[level]:
             if level == 0:
                 return HKZCertificate(False, "b1 not shortest")
@@ -370,21 +371,29 @@ def _independent_over_q(rows: list[list[Fraction]], candidate) -> bool:
     return False
 
 
-def _minima_from_gso(mu, bstar) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """The n successive minima of a size-reduced basis given by its GSO data,
-    each with an independent witness in that basis, as (norm_sq, coeffs).
+def _basis_norms(mu, bstar) -> tuple[Fraction, ...]:
+    """||b_i||^2 = bstar[i] + sum_{j<i} mu[i][j]^2 bstar[j] for each i."""
+    return tuple(
+        bstar[i] + sum(mu[i][j] ** 2 * bstar[j] for j in range(i))
+        for i in range(len(bstar))
+    )
 
-    Enumerates every vector of squared norm at most (n+3)/4 * max_i bstar[i]
-    and greedily picks independent vectors in order of increasing norm.  With
-    |mu| <= 1/2, ||b_i||^2 <= bstar[i] + 1/4 (bstar[1] + ... + bstar[i-1]), so
-    that radius holds b_1, ..., b_n and with them witnesses for all n minima.
+
+def _minima_from_gso(mu, bstar) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """The n successive minima of the basis given by its GSO data, each with
+    an independent witness in that basis, as (norm_sq, coeffs).
+
+    Enumerates every vector of squared norm at most max_i ||b_i||^2 and
+    greedily picks independent vectors in order of increasing norm.  That
+    radius holds the n independent vectors b_1, ..., b_n, so lambda_n is
+    within it, and with lambda_n the witnesses for all n minima.
     """
     n = len(bstar)
     if n > MAX_MINIMA_RANK:
         raise ValueError(
             f"minima enumeration unsupported above rank {MAX_MINIMA_RANK}"
         )
-    radius = Fraction(n + 3, 4) * max(bstar)
+    radius = max(_basis_norms(mu, bstar))
     found, _nodes = _Enumerator(mu, bstar).below(radius)
     found.sort(key=lambda item: (item[0],) + _preference_key(item[1]))
     echelon: list[list[Fraction]] = []
@@ -474,12 +483,15 @@ def check_propositions(gram: GramMatrix) -> PropositionReport:
       * bstar[i] <= lambda_i^2.
     Requires a certified HKZ-reduced input and rank <= 6 (successive minima).
     """
-    cert = is_hkz_reduced(gram)
+    return _propositions(gram, ldl(gram))
+
+
+def _propositions(gram: GramMatrix, gso: GSOData) -> PropositionReport:
+    cert = _certify(gso)
     if not cert.ok:
         raise ValueError(
             f"input not HKZ reduced (not HKZ certified: {cert.failing_condition})"
         )
-    gso = ldl(gram)
     minima = [norm_sq for norm_sq, _ in _minima_from_gso(gso.mu, gso.bstar)]
     n = gram.n
     adjacent = tuple(
@@ -523,3 +535,88 @@ def check_propositions(gram: GramMatrix) -> PropositionReport:
         for i in range(n)
     )
     return PropositionReport(adjacent, skip_two, lower, upper, bstar_le)
+
+
+@dataclass(frozen=True)
+class ChainReport:
+    """Exact verification of the inequality chain behind the rank-split bound,
+    for a certified HKZ-reduced basis of rank >= 4."""
+
+    leading_block_hkz: bool
+    bstar_vs_fourth: tuple[InequalityCheck, ...]
+    norm_vs_projected: tuple[InequalityCheck, ...]
+    norm_vs_projected_minima: tuple[InequalityCheck, ...]
+    propositions: PropositionReport
+
+    @property
+    def bstar_vs_full_minima(self) -> tuple[InequalityCheck, ...]:
+        """||b_i(i)||^2 <= lambda_i^2 in the full lattice."""
+        return self.propositions.bstar_vs_minima
+
+    def all_checks(self) -> tuple[InequalityCheck, ...]:
+        return (
+            self.bstar_vs_fourth
+            + self.norm_vs_projected
+            + self.norm_vs_projected_minima
+            + self.propositions.all_checks()
+        )
+
+    @property
+    def ok(self) -> bool:
+        return self.leading_block_hkz and all(c.holds for c in self.all_checks())
+
+
+def check_defect_chain(gram: GramMatrix) -> ChainReport:
+    """Verify, exactly, every link used to bound the defect of a rank >= 4
+    HKZ basis by the rank-3 maximum times per-index factors:
+
+      * the leading 3x3 block is itself HKZ reduced;
+      * ||b_1||^2 <= 2 B4, ||b_2(2)||^2 <= 3/2 B4, ||b_3(3)||^2 <= 4/3 B4,
+        writing B4 for ||b_4(4)||^2;
+      * ||b_i||^2 <= ||b_i(4)||^2 + 29/24 B4 for i >= 4;
+      * ||b_i||^2 <= (i/4 + 29/24) lambda_{i-3}^2 of the lattice projected
+        past b_1, b_2, b_3 (its minima indexed from 1);
+      * every family of `check_propositions`, which certifies the input and
+        includes ||b_i(i)||^2 <= lambda_i^2 in the full lattice.
+    """
+    n = gram.n
+    if not 4 <= n <= MAX_MINIMA_RANK:
+        raise ValueError(f"chain check needs rank 4..{MAX_MINIMA_RANK}")
+    gso = ldl(gram)
+    propositions = _propositions(gram, gso)
+    # LDL is prefix-stable: its first three rows factor the leading 3x3 block
+    block_ok = _certify(GSOData(gso.mu[:3], gso.bstar[:3])).ok
+    b4 = gso.bstar[3]
+    bstar_vs_fourth = tuple(
+        InequalityCheck(label, gso.bstar[i], factor * b4)
+        for i, factor, label in (
+            (0, Fraction(2), "||b_1||^2 <= 2 ||b_4(4)||^2"),
+            (1, Fraction(3, 2), "||b_2(2)||^2 <= 3/2 ||b_4(4)||^2"),
+            (2, Fraction(4, 3), "||b_3(3)||^2 <= 4/3 ||b_4(4)||^2"),
+        )
+    )
+    tail_mu = tuple(row[3:] for row in gso.mu[3:])
+    norm_vs_projected = tuple(
+        InequalityCheck(
+            f"||b_{i + 1}||^2 <= ||b_{i + 1}(4)||^2 + 29/24 ||b_4(4)||^2",
+            gram[i][i],
+            proj_norm + Fraction(29, 24) * b4,
+        )
+        for i, proj_norm in enumerate(_basis_norms(tail_mu, gso.bstar[3:]), start=3)
+    )
+    tail_minima = [m for m, _ in _minima_from_gso(tail_mu, gso.bstar[3:])]
+    norm_vs_minima = tuple(
+        InequalityCheck(
+            f"||b_{i + 1}||^2 <= ({i + 1}/4 + 29/24) lambda_{i - 2}(4)^2",
+            gram[i][i],
+            (Fraction(i + 1, 4) + Fraction(29, 24)) * tail_minima[i - 3],
+        )
+        for i in range(3, n)
+    )
+    return ChainReport(
+        leading_block_hkz=block_ok,
+        bstar_vs_fourth=bstar_vs_fourth,
+        norm_vs_projected=norm_vs_projected,
+        norm_vs_projected_minima=norm_vs_minima,
+        propositions=propositions,
+    )

@@ -61,6 +61,27 @@ def test_exponent_entry_exits_2(tmp_path, capsys):
     assert "line 2, entry 1: exponent" in capsys.readouterr().err
 
 
+def test_decimal_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "dec.gram"
+    path.write_text("2\n2 0.5\n0.5 1_000\n")
+    assert cli.main(["defect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: line 2, entry 2: invalid rational '0.5'"
+    ]
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.gram"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert cli.main(["defect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -174,6 +174,31 @@ def test_parse_rejects_exponent_notation():
         parse_gram_text("2\n1 0\n0 1E0\n")
 
 
+@pytest.mark.parametrize(
+    "token",
+    [
+        # decimals, digit separators, non-ASCII digits (Arabic-Indic, fullwidth)
+        "0.5", ".5", "1.", "1_000", "1/2_0", "\u0661", "1/\u0662", "\uff11",
+        # zero denominators, misplaced signs and slashes, non-numbers
+        "1/0", "-3/00", "1/-2", "+-1", "/2", "2/", "1//2", "inf", "nan", "0x10",
+    ],
+)
+def test_parse_rejects_tokens_outside_the_grammar(token):
+    with pytest.raises(GramFormatError, match="line 3, entry 2: invalid rational"):
+        parse_gram_text(f"2\n1 0\n0 {token}\n")
+
+
+def test_parse_rejects_entries_too_long_to_convert():
+    # the grammar allows any digit count; int() refuses over 4300 by default
+    with pytest.raises(GramFormatError, match="line 2, entry 1: invalid rational"):
+        parse_gram_text("1\n" + "1" * 5000 + "\n")
+
+
+def test_parse_accepts_the_grammar():
+    g = parse_gram_text("2\n+6/4 -1/02\n-1/2 007\n")
+    assert g.entries == ((Fr(3, 2), Fr(-1, 2)), (Fr(-1, 2), Fr(7)))
+
+
 def test_parse_rejects_extra_rows():
     with pytest.raises(GramFormatError, match="line 4: unexpected line after row 2"):
         parse_gram_text("2\n1 0\n0 1\n7 7 7\n")

@@ -100,26 +100,40 @@ def test_run_experiment_rank4_chain_and_bounds():
 
 
 def test_each_trial_certified_once(monkeypatch):
-    # one certificate for the basis and one for its leading block, and one
-    # full-rank minima enumeration, per trial
+    # one certificate for the basis and one for its leading block, one
+    # full-rank minima enumeration and one factorization, per trial
     monkeypatch.delenv("HKZ_THREADS", raising=False)
-    certify, minima = reduction.is_hkz_reduced, reduction._minima_from_gso
-    calls = {"certified": 0, "full_minima": 0}
+    certify, minima = reduction._certify, reduction._minima_from_gso
+    factor, chain = reduction.ldl, experiments.check_defect_chain
+    calls = {"certified": 0, "full_minima": 0, "ldl": 0}
+    chain_ldl = []
 
-    def counting_certify(gram):
+    def counting_certify(gso):
         calls["certified"] += 1
-        return certify(gram)
+        return certify(gso)
 
     def counting_minima(mu, bstar):
         calls["full_minima"] += len(bstar) == 5
         return minima(mu, bstar)
 
-    for module in (reduction, experiments):
-        monkeypatch.setattr(module, "is_hkz_reduced", counting_certify)
-        monkeypatch.setattr(module, "_minima_from_gso", counting_minima)
+    def counting_ldl(gram):
+        calls["ldl"] += 1
+        return factor(gram)
+
+    def counting_chain(gram):
+        before = calls["ldl"]
+        report = chain(gram)
+        chain_ldl.append(calls["ldl"] - before)
+        return report
+
+    monkeypatch.setattr(reduction, "_certify", counting_certify)
+    monkeypatch.setattr(reduction, "_minima_from_gso", counting_minima)
+    monkeypatch.setattr(reduction, "ldl", counting_ldl)
+    monkeypatch.setattr(experiments, "check_defect_chain", counting_chain)
     result = run_experiment(ExperimentConfig(rank=5, trials=4, seed=1))
     assert all(record.chain_ok for record in result.records)
-    assert calls == {"certified": 8, "full_minima": 4}
+    assert calls["certified"] == 8 and calls["full_minima"] == 4
+    assert chain_ldl == [1, 1, 1, 1]
 
 
 def test_csv_reproducible_and_exact():

@@ -14,9 +14,13 @@ from hkzdefect import (
     NotPositiveDefiniteError,
     Unimodular,
     apply_unimodular,
+    delta_exact,
     hkz_reduce,
     is_hkz_reduced,
     ldl,
+    lls_bound,
+    new_bound,
+    orthogonality_defect,
     successive_minima,
 )
 
@@ -47,6 +51,22 @@ def grams(draw, max_rank=4):
     except NotPositiveDefiniteError:
         assume(False)
     return gram
+
+
+@st.composite
+def diagonal_grams(draw, max_rank=5):
+    """A diagonal Gram with small positive rational entries."""
+    n = draw(st.integers(1, max_rank))
+    entries = draw(
+        st.lists(st.fractions(min_value=Fr(1, 4), max_value=9), min_size=n, max_size=n)
+    )
+    return GramMatrix.from_rows(
+        [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def _is_diagonal(gram):
+    return all(gram[i][j] == 0 for i in range(gram.n) for j in range(i))
 
 
 @st.composite
@@ -111,3 +131,32 @@ def test_minima_invariant_under_change_of_basis(data):
     u = data.draw(unimodulars(gram.n))
     moved = apply_unimodular(gram, u)
     assert successive_minima(moved).minima_sq == successive_minima(gram).minima_sq
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(grams(max_rank=5), diagonal_grams()))
+def test_defect_at_least_one_and_one_exactly_when_diagonal(gram):
+    defect = orthogonality_defect(gram)
+    assert defect >= 1
+    assert (defect == 1) == _is_diagonal(gram)
+
+
+@PROPERTY_SETTINGS
+@given(grams(max_rank=5))
+def test_reduced_defect_within_every_applicable_bound(gram):
+    n = gram.n
+    defect = orthogonality_defect(hkz_reduce(gram).reduced)
+    assert defect <= lls_bound(n)
+    if n >= 4:
+        assert defect <= new_bound(n)
+    else:
+        assert defect <= delta_exact(n)
+
+
+@PROPERTY_SETTINGS
+@given(grams(max_rank=5), st.fractions(min_value=Fr(1, 7), max_value=7))
+def test_minima_scale_with_the_gram(gram, factor):
+    minima = successive_minima(gram)
+    scaled = successive_minima(gram.scaled(factor))
+    assert scaled.minima_sq == tuple(factor * m for m in minima.minima_sq)
+    assert scaled.witnesses == minima.witnesses
