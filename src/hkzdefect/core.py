@@ -328,6 +328,7 @@ def apply_unimodular(gram: GramMatrix, transform: Unimodular) -> GramMatrix:
 # text format: line 1 is n, then n rows of n whitespace-separated rationals
 
 # ASCII integers and p/q only: Fraction() alone also takes 0.5, 1_000 and ١
+_RANK_TOKEN = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -342,6 +343,8 @@ def parse_gram_text(text: str) -> GramMatrix:
         raise GramFormatError("expected rank on first line", 1)
     head = lines[0].strip()
     try:
+        if not _RANK_TOKEN.fullmatch(head):
+            raise ValueError(head)
         n = int(head)
     except ValueError:
         raise GramFormatError(f"invalid rank {head!r}", 1) from None

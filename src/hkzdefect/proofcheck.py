@@ -116,10 +116,6 @@ class InequalitySystemReport:
     def ok(self) -> bool:
         return not self.violated
 
-    @property
-    def first_violated(self) -> int | None:
-        return self.violated[0] if self.violated else None
-
 
 def check_hkz_inequalities(point: CasePoint) -> InequalitySystemReport:
     """The five necessary inequalities for (lam, mu, sigma, k, l) to come from
@@ -168,17 +164,18 @@ def small_sigma_bound_value(k: Fraction, l: Fraction) -> Fraction:
     return (1 + Fraction(1, 4) / k) * (Fraction(9, 8) + Fraction(1, 4) / l)
 
 
-def verify_small_sigma_bound(samples_per_axis: int = 8) -> SmallSigmaReport:
+def verify_small_sigma_bound() -> SmallSigmaReport:
     """Confirm the small-sigma envelope peaks at the corner k = 3/4, l = 2/3
     with value exactly 2, decreasing in each variable away from it.
 
-    Every sampled value must be strictly below 2 off the corner and strictly
-    above the 9/8 floor.
+    The samples are the 8 x 8 grid of steps 1/2 up from the corner.  Every
+    sampled value must be strictly below 2 off the corner and strictly above
+    the 9/8 floor.
     """
     k0, l0 = Fraction(3, 4), Fraction(2, 3)
     corner = small_sigma_bound_value(k0, l0)
-    ks = [k0 + Fraction(i, 2) for i in range(samples_per_axis)]
-    ls = [l0 + Fraction(i, 2) for i in range(samples_per_axis)]
+    ks = [k0 + Fraction(i, 2) for i in range(8)]
+    ls = [l0 + Fraction(i, 2) for i in range(8)]
     samples = []
     ok = corner == 2
     monotone = True
@@ -796,6 +793,8 @@ _DISPLAYS = {
         ("pos_grouped", numerator_display_pos_grouped),
     ),
 }
+# convexity_scan compares this many leading samples with the displays
+_DISPLAY_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -855,13 +854,12 @@ def _ratio_less(x, y) -> bool:
 def convexity_scan(
     case_id: str,
     per_axis: int = 10,
-    compare_displays: int = 200,
     keep_samples: bool = False,
 ) -> ConvexityCertificate:
     """Sample the case region on a per_axis^4 grid of (lambda, mu, sigma, k)
     and require, at every point: recomputed numerator >= 0, exact second
     differences at steps h and h/2 both >= 0, float second difference
-    >= -1e-12.  The first `compare_displays` samples are also evaluated
+    >= -1e-12.  The first `_DISPLAY_SAMPLES` samples are also evaluated
     against the verbatim numerator displays.  With `keep_samples` the
     certificate retains every per-point record.
 
@@ -930,11 +928,11 @@ def convexity_scan(
         best = best_low = None
         for record in row:
             checked += 1
-            if keep_samples or checked <= compare_displays:
+            if keep_samples or checked <= _DISPLAY_SAMPLES:
                 sample = exact(*record)
                 if keep_samples:
                     kept.append(sample)
-                if checked <= compare_displays:
+                if checked <= _DISPLAY_SAMPLES:
                     k, num = sample.point.k, sample.numerator
                     for name, fn in _DISPLAYS[side]:
                         if matches[name] and fn(lam, mu, sigma, k) != num:
@@ -1044,12 +1042,11 @@ class VerificationResult:
 def run_full_verification(
     grid_step: Fraction = Fraction(1, 100),
     cases: tuple[str, ...] = ALL_CASES,
-    convexity_per_axis: int = 10,
 ) -> VerificationResult:
     started = time.perf_counter()
     scans = tuple(scan_case(case_id, grid_step) for case_id in cases)
     small = verify_small_sigma_bound()
-    convexity = tuple(convexity_scan(case_id, convexity_per_axis) for case_id in cases)
+    convexity = tuple(convexity_scan(case_id) for case_id in cases)
     extremal = verify_extremal_form()
     return VerificationResult(
         grid_step=Fraction(grid_step),

@@ -78,84 +78,53 @@ def _preference_key(coeffs: tuple[int, ...]):
     )
 
 
-class _Enumerator:
-    """Depth-first exact enumeration of x with x^T G x <= radius.
+def _enumerate(mu, bstar, radius_sq: Fraction, shrink: bool):
+    """Depth-first exact enumeration of the nonzero x with x^T G x <= radius_sq.
 
     Works on GSO data: the form value is sum_i bstar[i] * y_i^2 with
     y_i = x_i + sum_{j>i} mu[j][i] x_j.  Levels are processed from the last
     coordinate down, scanning each coordinate outward from its real center, so
     both scan directions can stop as soon as the partial norm overshoots.
+    Returns (radius_sq, found, nodes): `found` lists (norm_sq, x), one x per
+    +/- pair, in visiting order.  With `shrink`, a strictly shorter vector
+    becomes the radius and empties `found`, which then holds exactly the
+    shortest vectors.
     """
+    n = len(bstar)
+    x = [0] * n
+    found: list[tuple[Fraction, tuple[int, ...]]] = []
+    nodes = 0
 
-    def __init__(self, mu, bstar):
-        self.mu = mu
-        self.bstar = bstar
-        self.n = len(bstar)
-        self.nodes = 0
-
-    def shortest(self, radius_sq: Fraction, seed: tuple[int, ...] | None = None):
-        """Exact SVP: radius shrinks on strict improvement, ties all kept."""
-        self.radius_sq = radius_sq
-        self.best: list[tuple[int, ...]] = [seed] if seed is not None else []
-        self.collect_all = False
-        self.found: list[tuple[Fraction, tuple[int, ...]]] = []
-        self._descend(self.n - 1, [0] * self.n, Fraction(0))
-        return self.radius_sq, self.best, self.nodes
-
-    def below(self, radius_sq: Fraction):
-        """All nonzero x with form value <= radius_sq, one per +/- pair."""
-        self.radius_sq = radius_sq
-        self.best = []
-        self.collect_all = True
-        self.found = []
-        self._descend(self.n - 1, [0] * self.n, Fraction(0))
-        return self.found, self.nodes
-
-    def _leaf(self, x: list[int], norm_sq: Fraction) -> None:
-        if not any(x):
-            return
-        coeffs = tuple(x)
-        if self.collect_all:
-            if _normalize_sign(coeffs) == coeffs:
-                self.found.append((norm_sq, coeffs))
-            return
-        if norm_sq < self.radius_sq:
-            self.radius_sq = norm_sq
-            self.best = [_normalize_sign(coeffs)]
-        elif norm_sq == self.radius_sq:
-            normalized = _normalize_sign(coeffs)
-            if normalized not in self.best:
-                self.best.append(normalized)
-
-    def _descend(self, level: int, x: list[int], partial: Fraction) -> None:
-        mu, bstar = self.mu, self.bstar
+    def descend(level: int, partial: Fraction) -> None:
+        nonlocal radius_sq, nodes
         center = -sum(
-            (mu[j][level] * x[j] for j in range(level + 1, self.n)),
+            (mu[j][level] * x[j] for j in range(level + 1, n)),
             Fraction(0),
         )
         b = bstar[level]
-
-        def visit(value: int) -> bool:
-            offset = value - center
-            norm_here = partial + b * offset * offset
-            if norm_here > self.radius_sq:
-                return False
-            self.nodes += 1
-            x[level] = value
-            if level == 0:
-                self._leaf(x, norm_here)
-            else:
-                self._descend(level - 1, x, norm_here)
-            return True
-
         start = _nearest_int(center)
-        value = start
-        while visit(value):
-            value += 1
-        value = start - 1
-        while visit(value):
-            value -= 1
+        for value, step in ((start, 1), (start - 1, -1)):
+            while True:
+                offset = value - center
+                norm_here = partial + b * offset * offset
+                if norm_here > radius_sq:
+                    break
+                nodes += 1
+                x[level] = value
+                if level:
+                    descend(level - 1, norm_here)
+                elif any(x):
+                    if shrink and norm_here < radius_sq:
+                        radius_sq = norm_here
+                        found.clear()
+                    coeffs = tuple(x)
+                    if _normalize_sign(coeffs) == coeffs:
+                        found.append((norm_here, coeffs))
+                value += step
         x[level] = 0
+
+    descend(n - 1, Fraction(0))
+    return radius_sq, found, nodes
 
 
 def shortest_vector(gram: GramMatrix) -> ShortestVectorResult:
@@ -170,11 +139,9 @@ def shortest_vector(gram: GramMatrix) -> ShortestVectorResult:
 
 
 def _shortest_from_gso(mu, bstar) -> ShortestVectorResult:
-    n = len(bstar)
-    e1 = tuple([1] + [0] * (n - 1))
-    enum = _Enumerator(mu, bstar)
-    norm_sq, best, nodes = enum.shortest(bstar[0], seed=e1)
-    coeffs = min(best, key=_preference_key)
+    # b_1 has norm bstar[0], so the enumeration finds at least that vector
+    norm_sq, found, nodes = _enumerate(mu, bstar, bstar[0], shrink=True)
+    coeffs = min((x for _, x in found), key=_preference_key)
     return ShortestVectorResult(coeffs, norm_sq, nodes)
 
 
@@ -394,7 +361,7 @@ def _minima_from_gso(mu, bstar) -> list[tuple[Fraction, tuple[int, ...]]]:
             f"minima enumeration unsupported above rank {MAX_MINIMA_RANK}"
         )
     radius = max(_basis_norms(mu, bstar))
-    found, _nodes = _Enumerator(mu, bstar).below(radius)
+    _, found, _ = _enumerate(mu, bstar, radius, shrink=False)
     found.sort(key=lambda item: (item[0],) + _preference_key(item[1]))
     echelon: list[list[Fraction]] = []
     picked = []

@@ -72,6 +72,15 @@ def test_decimal_entry_exits_2(tmp_path, capsys):
     ]
 
 
+def test_non_ascii_rank_exits_2(tmp_path, capsys):
+    path = tmp_path / "rank.gram"
+    path.write_text("\u0661\n4\n", encoding="utf-8")
+    assert cli.main(["defect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: line 1: invalid rank '\u0661'"]
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     path = tmp_path / "latin.gram"
     path.write_bytes(b"\xff\xfe\x00")

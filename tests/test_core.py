@@ -161,6 +161,26 @@ def test_parse_rejects_empty():
         parse_gram_text("")
 
 
+@pytest.mark.parametrize(
+    "head",
+    # digit separators, non-ASCII digits (Arabic-Indic, fullwidth), non-integers
+    ["0_1", "\u0661", "\uff12", "1.0", "2/1", "1e0", "+-1", "0x1", "two"],
+)
+def test_parse_rejects_rank_outside_the_grammar(head):
+    with pytest.raises(GramFormatError, match=r"^line 1: invalid rank"):
+        parse_gram_text(f"{head}\n4\n")
+
+
+def test_parse_rank_grammar():
+    assert parse_gram_text("+01\n4\n") == parse_gram_text(" 1 \n4\n")
+    for head in ("0", "-1", "-0"):
+        with pytest.raises(GramFormatError, match="line 1: rank must be positive"):
+            parse_gram_text(f"{head}\n4\n")
+    # the grammar allows any digit count; int() refuses over 4300 by default
+    with pytest.raises(GramFormatError, match="line 1: invalid rank"):
+        parse_gram_text("1" * 5000 + "\n4\n")
+
+
 def test_parse_rejects_bad_token():
     with pytest.raises(GramFormatError, match="entry 2"):
         parse_gram_text("2\n1 x\n0 1\n")

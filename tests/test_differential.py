@@ -6,9 +6,14 @@ of each projected lattice, its completion to a unimodular block, a full
 U G U^T rebuild, a size reduction, and at the end the +-1/2 sign flip.  The
 library carries one transform and the GSO data through the levels instead,
 so both must agree exactly, node counts included.
+
+`_Enumerator` is the enumeration class the library used before its one
+`_enumerate` function; kept unchanged here, it is the oracle for that
+function's radius, vectors and node counts.
 """
 
 import random
+from fractions import Fraction
 from fractions import Fraction as Fr
 
 import pytest
@@ -27,7 +32,13 @@ from hkzdefect import (
     successive_minima,
 )
 from hkzdefect.experiments import random_gram
-from hkzdefect.reduction import complete_primitive_row
+from hkzdefect.reduction import (
+    _basis_norms,
+    _enumerate,
+    _nearest_int,
+    _normalize_sign,
+    complete_primitive_row,
+)
 
 
 def _mat_mul(a, b):
@@ -134,3 +145,119 @@ def test_check_minima_match_successive_minima(index):
             tuple(c.rhs / f for c, f in zip(chain.norm_vs_projected_minima, factors))
             == tail
         )
+
+
+class _Enumerator:
+    """Depth-first exact enumeration of x with x^T G x <= radius.
+
+    Works on GSO data: the form value is sum_i bstar[i] * y_i^2 with
+    y_i = x_i + sum_{j>i} mu[j][i] x_j.  Levels are processed from the last
+    coordinate down, scanning each coordinate outward from its real center, so
+    both scan directions can stop as soon as the partial norm overshoots.
+    """
+
+    def __init__(self, mu, bstar):
+        self.mu = mu
+        self.bstar = bstar
+        self.n = len(bstar)
+        self.nodes = 0
+
+    def shortest(self, radius_sq: Fraction, seed: tuple[int, ...] | None = None):
+        """Exact SVP: radius shrinks on strict improvement, ties all kept."""
+        self.radius_sq = radius_sq
+        self.best: list[tuple[int, ...]] = [seed] if seed is not None else []
+        self.collect_all = False
+        self.found: list[tuple[Fraction, tuple[int, ...]]] = []
+        self._descend(self.n - 1, [0] * self.n, Fraction(0))
+        return self.radius_sq, self.best, self.nodes
+
+    def below(self, radius_sq: Fraction):
+        """All nonzero x with form value <= radius_sq, one per +/- pair."""
+        self.radius_sq = radius_sq
+        self.best = []
+        self.collect_all = True
+        self.found = []
+        self._descend(self.n - 1, [0] * self.n, Fraction(0))
+        return self.found, self.nodes
+
+    def _leaf(self, x: list[int], norm_sq: Fraction) -> None:
+        if not any(x):
+            return
+        coeffs = tuple(x)
+        if self.collect_all:
+            if _normalize_sign(coeffs) == coeffs:
+                self.found.append((norm_sq, coeffs))
+            return
+        if norm_sq < self.radius_sq:
+            self.radius_sq = norm_sq
+            self.best = [_normalize_sign(coeffs)]
+        elif norm_sq == self.radius_sq:
+            normalized = _normalize_sign(coeffs)
+            if normalized not in self.best:
+                self.best.append(normalized)
+
+    def _descend(self, level: int, x: list[int], partial: Fraction) -> None:
+        mu, bstar = self.mu, self.bstar
+        center = -sum(
+            (mu[j][level] * x[j] for j in range(level + 1, self.n)),
+            Fraction(0),
+        )
+        b = bstar[level]
+
+        def visit(value: int) -> bool:
+            offset = value - center
+            norm_here = partial + b * offset * offset
+            if norm_here > self.radius_sq:
+                return False
+            self.nodes += 1
+            x[level] = value
+            if level == 0:
+                self._leaf(x, norm_here)
+            else:
+                self._descend(level - 1, x, norm_here)
+            return True
+
+        start = _nearest_int(center)
+        value = start
+        while visit(value):
+            value += 1
+        value = start - 1
+        while visit(value):
+            value -= 1
+        x[level] = 0
+
+
+def _gso_blocks(gram):
+    """GSO data of a basis, of its HKZ-reduced form and of every projected
+    tail of that form, as (mu, bstar) pairs."""
+    gso = ldl(gram)
+    reduced = ldl(hkz_reduce(gram).reduced)
+    yield gso.mu, gso.bstar
+    n = gram.n
+    for level in range(n):
+        sub_mu = tuple(tuple(reduced.mu[i][level:i]) for i in range(level, n))
+        yield sub_mu, reduced.bstar[level:]
+
+
+ORACLE_BASES = [
+    random_gram(rank, seed)
+    for rank in range(1, 7)
+    for seed in range(12 if rank < 6 else 4)
+]
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_BASES)))
+def test_enumerate_matches_old_enumerator(index):
+    for mu, bstar in _gso_blocks(ORACLE_BASES[index]):
+        n = len(bstar)
+        e1 = tuple([1] + [0] * (n - 1))
+        radius, best, nodes = _Enumerator(mu, bstar).shortest(bstar[0], seed=e1)
+        got_radius, found, got_nodes = _enumerate(mu, bstar, bstar[0], shrink=True)
+        assert got_radius == radius
+        assert sorted(x for _, x in found) == sorted(best)
+        assert all(norm_sq == radius for norm_sq, _ in found)
+        assert got_nodes == nodes
+
+        radius = max(_basis_norms(mu, bstar))
+        below, nodes = _Enumerator(mu, bstar).below(radius)
+        assert _enumerate(mu, bstar, radius, shrink=False) == (radius, below, nodes)
