@@ -45,25 +45,6 @@ from .experiments import (
     run_experiment,
     summary_json,
 )
-from .proofcheck import (
-    ALL_CASES,
-    CasePoint,
-    CaseScanReport,
-    ConvexityCertificate,
-    QuadraticCase,
-    VerificationResult,
-    case_quadratic,
-    check_hkz_inequalities,
-    convexity_numerator,
-    convexity_scan,
-    defect_from_parameters,
-    extremal_gram,
-    gram_from_parameters,
-    run_full_verification,
-    scan_case,
-    verify_extremal_form,
-    verify_small_sigma_bound,
-)
 from .reduction import (
     ChainReport,
     HKZCertificate,
@@ -150,3 +131,16 @@ __all__ = [
     "verify_extremal_form",
     "verify_small_sigma_bound",
 ]
+
+
+# only `verify-proof` and rank-3 experiments run `proofcheck`, so the exported
+# names not imported above, all from it, load it on first access (PEP 562)
+def __getattr__(name):
+    if name in __all__:
+        from . import proofcheck
+        return getattr(proofcheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,12 +9,12 @@ renderings are 12 significant digits and are informational only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from . import proofcheck
 from .bounds import (
     bound_table,
     bound_table_csv,
@@ -192,6 +192,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify_proof(args) -> int:
+    from . import proofcheck
     try:
         step = Fraction(args.step)
     except (ValueError, ZeroDivisionError):
@@ -300,9 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves a parser unchanged, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

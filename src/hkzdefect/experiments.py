@@ -14,7 +14,6 @@ import io
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +30,6 @@ from .core import (
     format_rat,
     ldl,
 )
-from .proofcheck import extremal_gram
 from .reduction import check_defect_chain, hkz_reduce
 
 MAX_EXPERIMENT_RANK = 6
@@ -112,6 +110,7 @@ def _trial_gram(cfg: ExperimentConfig, trial: int) -> GramMatrix:
     if trial == 0 and cfg.rank == 2:
         return _A2_GRAM
     if trial == 0 and cfg.rank == 3:
+        from .proofcheck import extremal_gram
         return extremal_gram(+1)
     return random_gram(cfg.rank, cfg.seed + trial, cfg.entry_bound)
 
@@ -187,6 +186,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     jobs = [(cfg, trial) for trial in range(cfg.trials)]
     workers = _worker_count(os.environ.get("HKZ_THREADS"), os.cpu_count(), cfg.trials)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial, jobs, chunksize=8))
     else:

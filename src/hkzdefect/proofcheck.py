@@ -26,9 +26,10 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bounds import orthogonality_defect
+# sibling functions are read from their modules at call time: this module
+# loads on demand, perhaps while a caller has rebound one of them
+from . import bounds, reduction
 from .core import GramMatrix, GSOData, format_rat
-from .reduction import is_hkz_reduced
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -1003,16 +1004,16 @@ def verify_extremal_form() -> ExtremalFormReport:
     variants = []
     for sign in (+1, -1):
         gram = extremal_gram(sign)
-        cert = is_hkz_reduced(gram)
+        cert = reduction.is_hkz_reduced(gram)
         variants.append(
             ExtremalVariantReport(
                 sigma=HALF if sign > 0 else -HALF,
                 gram=gram,
                 hkz_ok=cert.ok,
-                defect=orthogonality_defect(gram),
+                defect=bounds.orthogonality_defect(gram),
             )
         )
-    scaled = orthogonality_defect(extremal_gram(+1).scaled(4))
+    scaled = bounds.orthogonality_defect(extremal_gram(+1).scaled(4))
     return ExtremalFormReport(tuple(variants), scaled)
 
 

@@ -280,6 +280,50 @@ def test_cli_deterministic(extremal_file, capsys):
     assert first == second
 
 
+def _call(argv, capsys):
+    """Exit code, stdout and stderr of one `cli.main` call; an argparse exit
+    (an error or --help) gives its exit code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_carries_no_state_between_calls(extremal_file, capsys):
+    valid = ["reduce", extremal_file, "--format", "json"]
+    invalid = ["reduce", extremal_file, "--format", "xml"]
+    first = _call(valid, capsys)
+    error = _call(invalid, capsys)
+    second = _call(valid, capsys)
+    assert first[0] == 0 and json.loads(first[1])["defect"] == "25/12"
+    assert error[0] == 2 and error[1] == "" and "invalid choice: 'xml'" in error[2]
+    assert second == first
+    assert _call(invalid, capsys) == error
+    assert _call(["minima", extremal_file], capsys)[0] == 0
+    assert _call([], capsys)[0] == 2
+    assert _call(valid, capsys) == first
+    assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [[], ["reduce"], ["defect"], ["minima"], ["bounds"], ["verify-proof"], ["experiment"]],
+)
+def test_help_matches_a_fresh_parser(command, extremal_file, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = command + ["--help"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args(argv)
+    assert exit_info.value.code == 0
+    fresh = capsys.readouterr().out
+    assert fresh.startswith("usage: hkzdefect")
+    assert _call(argv, capsys) == (0, fresh, "")
+    _call(["defect", extremal_file], capsys)
+    assert _call(argv, capsys) == (0, fresh, "")
+
+
 def test_gram_text_roundtrip_through_files(tmp_path):
     from hkzdefect import load_gram, parse_gram_text
 

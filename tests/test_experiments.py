@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 from fractions import Fraction as Fr
 
 import pytest
@@ -156,6 +158,29 @@ def test_parallel_trials_match_serial(monkeypatch):
     monkeypatch.setenv("HKZ_THREADS", "2")
     parallel = records_to_csv(run_experiment(cfg).records)
     assert serial == parallel
+
+
+def test_pool_branch_matches_serial(monkeypatch):
+    # Forces the HKZ_THREADS > 1 branch whatever the CPU count, with a thread
+    # pool standing in for the process pool so that no process is started.
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    cfg = ExperimentConfig(rank=3, trials=6, seed=33)
+    monkeypatch.delenv("HKZ_THREADS", raising=False)
+    serial = records_to_csv(run_experiment(cfg).records)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("HKZ_THREADS", "3")
+    pooled = records_to_csv(run_experiment(cfg).records)
+    assert pools == [3]
+    assert pooled == serial
+    # trial 0 at rank 3 is the extremal form, which the trial imports on demand
+    assert pooled.splitlines()[1].startswith("0,3,25/12,")
 
 
 @pytest.mark.parametrize(

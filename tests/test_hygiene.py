@@ -7,14 +7,23 @@ module reaches the parser-token cliff: compiling source of 8,192 tokens or
 more costs noticeably more memory (compiling a padded copy of `proofcheck.py`
 peaked at 2.70 MB under tracemalloc with 8,178 tokens and at 3.17 MB with
 8,194), and every run that finds no usable `.pyc` pays it.
+
+Importing the package loads only what every command needs: no module imports
+the process pool or `proofcheck` outside a function body, and the package
+serves the `proofcheck` names it exports on first access.
 """
 
 import ast
+import importlib.util
 import io
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import hkzdefect
+from hkzdefect import bounds, proofcheck, reduction
 
 PACKAGE_DIR = Path(hkzdefect.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
@@ -41,6 +50,35 @@ def _imported_names(tree):
                     continue
                 bound = alias.asname or alias.name.split(".")[0]
                 yield bound, node.lineno
+
+
+# modules that a command loads inside the function that needs them
+DEFERRED_IMPORTS = {"concurrent", "multiprocessing", ".proofcheck"}
+
+
+def _import_time_imports(tree):
+    """Every module an import outside a function body names, as written
+    (relative ones with their dots, `from . import x` as `.x`)."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level
+            if node.module:
+                yield prefix + node.module
+            else:
+                yield from (prefix + alias.name for alias in node.names)
+        nodes.extend(ast.iter_child_nodes(node))
+
+
+def _deferred(imported):
+    """Whether an imported module name falls under DEFERRED_IMPORTS."""
+    dot = "." if imported.startswith(".") else ""
+    return dot + imported.lstrip(".").split(".")[0] in DEFERRED_IMPORTS
 
 
 def _token_count(text):
@@ -114,3 +152,74 @@ def test_modules_below_token_cliff():
     assert {name: n for name, n in counts.items() if n >= 8192} == {}
     # NAME, OP, NUMBER, NEWLINE, ENDMARKER; the comment and blank line are left out
     assert _token_count("x = 1  # note\n\n") == 5
+
+
+def test_no_import_time_pool_or_proofcheck():
+    offenders = [
+        f"{path.name}: {imported}"
+        for path in MODULES
+        for imported in _import_time_imports(_tree(path))
+        if _deferred(imported)
+    ]
+    assert offenders == []
+
+
+def test_import_time_check_catches_offenders():
+    tree = ast.parse(
+        "import concurrent.futures\n"
+        "from . import bounds, proofcheck\n"
+        "if True:\n"
+        "    import multiprocessing as mp\n"
+        "class Holder:\n"
+        "    from .proofcheck import extremal_gram\n"
+        "from .reduction import hkz_reduce\n"
+        "def run():\n"
+        "    from concurrent.futures import ProcessPoolExecutor\n"
+        "    from . import proofcheck\n"
+    )
+    flagged = sorted(name for name in _import_time_imports(tree) if _deferred(name))
+    assert flagged == [
+        ".proofcheck",
+        ".proofcheck",
+        "concurrent.futures",
+        "multiprocessing",
+    ]
+
+
+def test_every_export_resolves():
+    missing = [name for name in hkzdefect.__all__ if not hasattr(hkzdefect, name)]
+    assert missing == []
+    assert len(set(hkzdefect.__all__)) == len(hkzdefect.__all__)
+
+
+def test_proofcheck_names_served_on_access():
+    lazy = [name for name in hkzdefect.__all__ if name not in vars(hkzdefect)]
+    assert {"ALL_CASES", "extremal_gram", "run_full_verification"} <= set(lazy)
+    listed = dir(hkzdefect)
+    for name in lazy:
+        assert getattr(hkzdefect, name) is getattr(proofcheck, name)
+        assert name in listed
+    assert set(vars(hkzdefect)) <= set(listed)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hkzdefect.no_such_name
+    assert not hasattr(hkzdefect, "scaled_case_coefficients")
+
+
+def test_proofcheck_loaded_late_calls_current_bindings(monkeypatch):
+    # `proofcheck` is loaded on first use, which may come while a caller has
+    # rebound a sibling's function; a copy loaded then must still call the
+    # function bound when it runs, not the one bound when it was loaded
+    spec = importlib.util.spec_from_file_location(
+        "hkzdefect.proofcheck", PACKAGE_DIR / "proofcheck.py"
+    )
+    late = importlib.util.module_from_spec(spec)
+    with monkeypatch.context() as patched:
+        patched.setattr(bounds, "orthogonality_defect", lambda gram: Fraction(-1))
+        patched.setattr(reduction, "is_hkz_reduced", lambda gram: None)
+        spec.loader.exec_module(late)
+    report = late.verify_extremal_form()
+    assert report.ok
+    assert [v.defect for v in report.variants] == [Fraction(25, 12)] * 2
