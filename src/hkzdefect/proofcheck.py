@@ -21,6 +21,7 @@ proof over the continuum between them; reports carry that caveat.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -233,25 +234,10 @@ def sigma_interval(case_id: str) -> tuple[Fraction, Fraction]:
     return (THIRD, HALF)
 
 
-def kmin_region_contains(lam: Fraction, mu: Fraction) -> bool:
-    """Admissibility for the negative-sigma k-minimal case.
-
-    The true lower boundary on mu is 1 + lambda - sqrt(lambda^2 + 2 lambda),
-    irrational in general; since mu <= 1/2 < 1 + lambda it is equivalent to
-    the all-rational test (1 + lambda - mu)^2 <= lambda^2 + 2 lambda.  The
-    region is empty below lambda = 1/4 exactly.
-    """
-    return _region_at(NEG_KMIN, lam, mu)
-
-
 def case_region_contains(case_id: str, lam: Fraction, mu: Fraction) -> bool:
     """Exact membership test for one case's (lambda, mu) region."""
     if not (0 <= lam <= HALF and 0 <= mu <= HALF):
         return False
-    return _region_at(case_id, lam, mu)
-
-
-def _region_at(case_id: str, lam: Fraction, mu: Fraction) -> bool:
     lam, mu = Fraction(lam), Fraction(mu)
     q = math.lcm(lam.denominator, mu.denominator)
     return _region_contains_scaled(case_id, int(lam * q), int(mu * q), q)
@@ -260,6 +246,8 @@ def _region_at(case_id: str, lam: Fraction, mu: Fraction) -> bool:
 def _region_contains_scaled(case_id: str, i: int, j: int, q: int) -> bool:
     """Region test at lambda = i/q, mu = j/q, inside the box [0, 1/2]^2."""
     if case_id == NEG_KMIN:
+        # the lower boundary mu = 1 + lambda - sqrt(lambda^2 + 2 lambda) is
+        # irrational in general; as mu <= 1/2 < 1 + lambda the region is
         # lambda >= 1/4 and (1 + lambda - mu)^2 <= lambda^2 + 2 lambda
         return 4 * i >= q and (q + i - j) ** 2 <= i * i + 2 * i * q
     if case_id == POS_KMIN:
@@ -449,20 +437,6 @@ def implied_k_l(
     return k, k * (1 - sigma**2)
 
 
-def bound_expression_value(
-    case_id: str, lam: Fraction, mu: Fraction, sigma: Fraction
-) -> Fraction:
-    """Direct exact evaluation of the case's defect upper-bound expression.
-
-    Independent of the quadratic coefficients: useful to confirm that
-    Q(sigma) <= 0 is exactly equivalent to the bound being <= 25/12.
-    """
-    k, l = implied_k_l(case_id, lam, mu, sigma)
-    if k <= 0 or l <= 0:
-        raise ValueError("bound expression undefined: implied k or l nonpositive")
-    return defect_from_parameters(CasePoint(lam, mu, sigma, k, l))
-
-
 # ---------------------------------------------------------------------------
 # grid scan
 
@@ -502,6 +476,29 @@ def grid_points(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
     return vals
 
 
+def _row_peak(a: int, b: int, c: int, s_values: list[int]) -> tuple[int, int]:
+    """Exact maximum of a s^2 + b s + c over the increasing `s_values`, and
+    the first index attaining it.
+
+    A concave row (a < 0) rises up to its vertex -b/(2a) and falls after it,
+    so its maximum sits at the last point up to the vertex or the first one
+    past it; any other row takes its maximum at an end.
+    """
+    last = len(s_values) - 1
+    if a < 0:
+        past = bisect.bisect_right(s_values, b // (-2 * a))  # first s > vertex
+        indices = range(max(past - 1, 0), min(past, last) + 1)
+    else:
+        indices = (0, last)
+    top = at = None
+    for index in indices:
+        s = s_values[index]
+        value = (a * s + b) * s + c
+        if top is None or value > top:
+            top, at = value, index
+    return top, at
+
+
 def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanReport:
     """Exact grid scan of one case: asserts Q(sigma) <= 0 at every in-region
     grid point, recording equality points and any strict violations.
@@ -513,7 +510,9 @@ def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanR
     i/q, mu = j/q and sigma = s/D for D = lcm(q, 3), the scan evaluates
     12 q^4 D^2 Q(sigma) = A s^2 + B D s + C D^2 from the integer coefficients
     (A, B, C) of `scaled_case_coefficients`.  The scale is the same for the
-    whole case, so the maximum and the signs are those of Q itself.
+    whole case, so the maximum and the signs are those of Q itself.  Each
+    row (i, j) is bounded by its exact maximum (`_row_peak`), and only a row
+    whose maximum reaches 0 is walked point by point.
     """
     grid_step = Fraction(grid_step)
     if grid_step <= 0 or (HALF / grid_step).denominator != 1:
@@ -537,16 +536,16 @@ def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanR
             a, b, c = scaled_case_coefficients(case_id, i, j, q)
             b *= den
             c *= den * den
-            values = [(a * s + b) * s + c for s in s_values]
-            checked += len(values)
+            checked += len(s_values)
             # the first point of this row at its maximum is where a running
             # "strictly greater" maximum would have moved to
-            top = max(values)
+            top, at = _row_peak(a, b, c, s_values)
             if best is None or top > best:
                 best = top
-                argmax = (i, j, s_values[values.index(top)])
+                argmax = (i, j, s_values[at])
             if top >= 0:
-                for s, value in zip(s_values, values):
+                for s in s_values:
+                    value = (a * s + b) * s + c
                     if value == 0:
                         equalities.append((i, j, s))
                     elif value > 0:
@@ -604,77 +603,62 @@ def envelope_value(
     return (1 + lam**2 / k) * (1 + (mu**2 + k * sigma**2) / n_val)
 
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _poly_sub(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)]
-
-
-def _poly_deriv(p):
-    return [i * a for i, a in enumerate(p)][1:] or [0]
-
-
-def _integer_poly(coeffs) -> tuple[list[int], int]:
-    """(integer coefficients, d > 0) with coeffs = integer coefficients / d."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
-def _envelope_polys(lam, mu, sigma, c_val, e_val, unit: Fraction):
-    """Integer forms of the envelope and its convexity numerator in m, where
-    k = m * unit.
+def _envelope_polys(
+    side: str, i: int, j: int, s: int, big_l: int, big_s: int, big_m: int
+):
+    """Integer forms of the envelope and its convexity numerator at
+    lambda = i/L, mu = j/L, sigma = s/S and k = k_top m/M, k_top = C/E.
 
     The envelope is f = P/Q with P = (k + lam^2)(C + mu^2 + k (sigma^2 - E))
-    and Q = k (C - k E).  Returns (p, q, num, f_scale, num_scale), integer
-    coefficient lists and two positive rationals, with
+    and Q = k (C - k E).  With C = Cn/L^2 and E = En/S^2 it is
+    f(k) = f_scale p(m)/q(m) for q(m) = m (M - m), the same for every triple,
+    and the integer quadratic
 
-        f(k) = f_scale * p(m) / q(m),   Q(k) = q(m) / d  for some d > 0,
-        num2(k) = num_scale * num(m),
+        p(m) = (Cn S^2 m + i^2 En M) ((Cn + j^2) En M + Cn (s^2 - En) m).
 
-    where num2 = (P'Q - PQ')'Q - 2 (P'Q - PQ') Q' is the numerator of f''
-    over Q^3: the quotient rule applied twice, with d/dk = (1/unit) d/dm.
+    The numerator of f'' over Q^3, num2 = (P'Q - PQ')'Q - 2 (P'Q - PQ') Q'
+    (the quotient rule applied twice), is num_scale * num(m) with
+    num(m) = 2 p0 (M^2 - 3 M m + 3 m^2) + 2 (p1 + M p2) m^3.  Returns
+    (p, num, f_scale, num_scale, k_top): coefficients from the constant term
+    up, and three positive rationals.
     """
-    first, d1 = _integer_poly([lam * lam, unit])
-    second, d2 = _integer_poly([c_val + mu * mu, unit * (sigma * sigma - e_val)])
-    q_poly, d3 = _integer_poly([Fraction(0), unit * c_val, -unit * unit * e_val])
-    p_poly = _poly_mul(first, second)
-    q1 = _poly_deriv(q_poly)
-    num1 = _poly_sub(_poly_mul(_poly_deriv(p_poly), q_poly), _poly_mul(p_poly, q1))
-    num2 = _poly_sub(
-        _poly_mul(_poly_deriv(num1), q_poly), _poly_mul([2], _poly_mul(num1, q1))
-    )
+    # (L^2 C, S^2 E); callers have already rejected an unknown side
+    if side == "NEG":
+        cn, en = big_l**2 - (big_l - i - j) ** 2, (big_s + s) ** 2
+    else:
+        cn, en = big_l**2 - (i - j) ** 2, (big_s - s) ** 2
+    a0, a1 = i * i * en * big_m, cn * big_s**2
+    b0, b1 = (cn + j * j) * en * big_m, cn * (s * s - en)
+    p0, p1, p2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
     return (
-        p_poly,
-        q_poly,
-        num2,
-        Fraction(d3, d1 * d2),
-        Fraction(1) / (unit * unit * d1 * d2 * d3 * d3),
+        [p0, p1, p2],
+        [2 * p0 * big_m**2, -6 * p0 * big_m, 6 * p0, 2 * (p1 + big_m * p2)],
+        Fraction(1, en * cn * cn * big_s**2),
+        Fraction(cn * cn, big_l**8 * en * en * big_m**4),
+        Fraction(a1, en * big_l**2),
     )
 
 
 def convexity_numerator(side: str, point: CasePoint) -> Fraction:
     """Numerator of d^2/dk^2 of the defect envelope over k^3 N(k)^3.
 
-    Computed by exact rational differentiation of the closed form (quotient
-    rule applied twice to the polynomial fraction), not transcribed from any
-    expanded display.  Sign of the result is the sign of the second derivative
-    wherever k > 0 and N(k) > 0.
+    Computed by exact differentiation of the closed form (quotient rule
+    applied twice to the polynomial fraction, `_envelope_polys`), not
+    transcribed from any expanded display.  Sign of the result is the sign of
+    the second derivative wherever k > 0 and N(k) > 0.
     """
     lam, mu, sigma, k = point.lam, point.mu, point.sigma, point.k
     c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
-    if k <= 0 or c_val - k * e_val <= 0:
+    if k <= 0 or e_val <= 0 or c_val - k * e_val <= 0:
         raise ValueError("outside case region: k and N(k) must be positive")
-    # unit = k puts the point at m = 1
-    _p, _q, num2, _f_scale, num_scale = _envelope_polys(lam, mu, sigma, c_val, e_val, k)
-    return num_scale * sum(num2)
+    big_l = math.lcm(lam.denominator, mu.denominator)
+    ratio = k * e_val / c_val  # k/k_top = m/M
+    _p, num, _f_scale, num_scale, _k_top = _envelope_polys(
+        side, int(lam * big_l), int(mu * big_l), sigma.numerator,
+        big_l, sigma.denominator, ratio.denominator,
+    )
+    m = ratio.numerator
+    return num_scale * sum(coeff * m**d for d, coeff in enumerate(num))
 
 
 def envelope_second_difference(
@@ -834,17 +818,31 @@ class ConvexityCertificate:
         )
 
 
-def _second_difference_scaled(p_poly, q_poly, m: int, step: int):
-    """p/q(m - step) - 2 p/q(m) + p/q(m + step) as integers (n, d) with d > 0."""
-    (pa, pb, pc), (qa, qb, qc) = (
-        [(c2 * x + c1) * x + c0 for x in (m - step, m, m + step)]
-        for c0, c1, c2 in (p_poly, q_poly)
-    )
-    # q has the sign of Q(k) = k N(k), and comparing n/d by cross-products
-    # needs d > 0
-    if min(qa, qb, qc) <= 0:
-        raise ValueError("outside case region: k and N(k) must be positive")
-    return pa * qb * qc - 2 * pb * qa * qc + pc * qa * qb, qa * qb * qc
+def _difference_weights(q_poly, m_values) -> list[tuple]:
+    """What every triple of a convexity scan shares, one entry per m.
+
+    An entry is (m, m^2, m^3, at_2, at_1); at_h = (w0, w1, w2, d) gives
+    p/q(m - h) - 2 p/q(m) + p/q(m + h) = (w0 p0 + w1 p1 + w2 p2)/d for every
+    quadratic p, with d = q(m - h) q(m) q(m + h).  q has the sign of
+    Q(k) = k N(k), and comparing second differences by cross-products needs
+    each q > 0.
+    """
+    entries = []
+    for m in m_values:
+        entry = [m, m * m, m**3]
+        for h in (2, 1):
+            qa, qb, qc = (
+                (q_poly[2] * x + q_poly[1]) * x + q_poly[0] for x in (m - h, m, m + h)
+            )
+            if min(qa, qb, qc) <= 0:
+                raise ValueError("outside case region: k and N(k) must be positive")
+            weights = (
+                (m - h) ** d * qb * qc - 2 * m**d * qa * qc + (m + h) ** d * qa * qb
+                for d in range(3)
+            )
+            entry.append((*weights, qa * qb * qc))
+        entries.append(tuple(entry))
+    return entries
 
 
 def _ratio_less(x, y) -> bool:
@@ -865,20 +863,24 @@ def convexity_scan(
     certificate retains every per-point record.
 
     The samples sit at k = k_top t/(per_axis + 1), t = 1..per_axis, with
-    k_top = C/E and h = k_top/(4 (per_axis + 1)).  All five abscissae
-    k - h, k - h/2, k, k + h/2, k + h are integer multiples m of one unit
-    per (lambda, mu, sigma), so both second differences, the numerator and
-    their minima are compared as exact integers over that triple's positive
-    scales (`_envelope_polys`); a `Fraction` is built only for a triple's
-    minima and for reported samples.
+    k_top = C/E and h = k_top/(4 (per_axis + 1)).  With lambda = i/L,
+    mu = j/L, sigma = s/S for L = 2 (per_axis - 1), S = 6 (per_axis - 1),
+    all five abscissae k - h, k - h/2, k, k + h/2, k + h are k_top m/M for
+    integers m and M = 8 (per_axis + 1), and the envelope is p(m)/q(m) over
+    a positive scale of the triple, with q the same for every triple
+    (`_envelope_polys`).  So the weights of p in both second differences are
+    tabulated once per scan (`_difference_weights`), each sample is a few
+    integer dot products, and a `Fraction` is built only for a triple's
+    scales and minima and for reported samples.
     """
     if case_id not in ALL_CASES:
         raise ValueError(f"unknown case {case_id!r}")
     side = _side_of(case_id)
-    lo, hi = sigma_interval(case_id)
-    lam_grid = [Fraction(i, 2 * (per_axis - 1)) for i in range(per_axis)]
-    sig_grid = [lo + (hi - lo) * Fraction(i, per_axis - 1) for i in range(per_axis)]
-    parts = per_axis + 1
+    big_l, big_s, parts = 2 * (per_axis - 1), 6 * (per_axis - 1), per_axis + 1
+    big_m = 8 * parts
+    first_s = int(sigma_interval(case_id)[0] * big_s)
+    # sample t at m = 8t, k -+ h at m -+ 2 and k -+ h/2 at m -+ 1
+    shared = _difference_weights((0, big_m, -1), range(8, big_m, 8))
     checked = 0
     min_num: Fraction | None = None
     min_sd: Fraction | None = None
@@ -888,7 +890,9 @@ def convexity_scan(
     kept: list[ConvexitySample] = []
 
     def exact(t, num, sd, sd_half, fcheck) -> ConvexitySample:
-        # the record of sample t of the current (lam, mu, sigma) as rationals
+        # the record of sample t of the current triple as rationals
+        lam, mu, sigma = Fraction(i, big_l), Fraction(j, big_l), Fraction(s, big_s)
+        c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
         k = k_top * Fraction(t, parts)
         return ConvexitySample(
             CasePoint(lam, mu, sigma, k, c_val - k * e_val),
@@ -899,51 +903,46 @@ def convexity_scan(
         )
 
     triples = [
-        (lam, mu, sigma)
-        for lam in lam_grid
-        for mu in lam_grid
-        if case_region_contains(case_id, lam, mu)
-        for sigma in sig_grid
+        (i, j, s)
+        for i in range(per_axis)
+        for j in range(per_axis)
+        if _region_contains_scaled(case_id, i, j, big_l)
+        for s in range(first_s, first_s + per_axis)
     ]
-    for lam, mu, sigma in triples:
-        c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
-        k_top = c_val / e_val
-        # unit h/2 puts sample t at m = 8t, k -+ h at 8t -+ 2, k -+ h/2 at 8t -+ 1
-        p_poly, q_poly, num2, f_scale, num_scale = _envelope_polys(
-            lam, mu, sigma, c_val, e_val, k_top / (8 * parts)
+    for i, j, s in triples:
+        (p0, p1, p2), (n0, n1, n2, n3), f_scale, num_scale, k_top = _envelope_polys(
+            side, i, j, s, big_l, big_s, big_m
         )
-        floats = float(lam), float(mu), float(sigma)
-        h_float = float(k_top / (4 * parts))
-        row = []  # (t, num, sd, sd_half, fcheck), scaled integers but fcheck
-        for t in range(1, parts):
-            m = 8 * t
-            num = 0
-            for coeff in reversed(num2):
-                num = num * m + coeff
-            # float(k) of the exact k: int / int division rounds correctly
-            k_float = k_top.numerator * t / (k_top.denominator * parts)
-            fcheck = _second_difference_float(side, *floats, k_float, h_float)
-            sd = _second_difference_scaled(p_poly, q_poly, m, 2)
-            sd_half = _second_difference_scaled(p_poly, q_poly, m, 1)
-            row.append((t, num, sd, sd_half, fcheck))
-        best = best_low = None
-        for record in row:
+        floats = i / big_l, j / big_l, s / big_s
+        # float(k) and float(h) of the exact rationals: int / int division
+        # rounds correctly
+        k_num, k_den = k_top.numerator, k_top.denominator * parts
+        h_float = k_num / (4 * k_den)
+        best = best_low = row_min = None
+        for t, (m, m2, m3, at_2, at_1) in enumerate(shared, 1):
+            (w0, w1, w2, d), (v0, v1, v2, d_half) = at_2, at_1
+            num = n0 + n1 * m + n2 * m2 + n3 * m3
+            sd = (p0 * w0 + p1 * w1 + p2 * w2, d)
+            sd_half = (p0 * v0 + p1 * v1 + p2 * v2, d_half)
+            fcheck = _second_difference_float(side, *floats, k_num * t / k_den, h_float)
+            record = (t, num, sd, sd_half, fcheck)
             checked += 1
             if keep_samples or checked <= _DISPLAY_SAMPLES:
                 sample = exact(*record)
                 if keep_samples:
                     kept.append(sample)
                 if checked <= _DISPLAY_SAMPLES:
-                    k, num = sample.point.k, sample.numerator
+                    lam, mu, sigma, k, _l = sample.point.as_tuple()
                     for name, fn in _DISPLAYS[side]:
-                        if matches[name] and fn(lam, mu, sigma, k) != num:
+                        if matches[name] and fn(lam, mu, sigma, k) != sample.numerator:
                             matches[name] = False
-            _t, _num, sd, sd_half, fcheck = record
             low = sd_half if _ratio_less(sd_half, sd) else sd
             if best is None or _ratio_less(low, best_low):
                 best, best_low = record, low
+            if row_min is None or num < row_min:
+                row_min = num
             min_float = min(min_float, fcheck)
-        row_min_num = num_scale * min(record[1] for record in row)
+        row_min_num = num_scale * row_min
         if min_num is None or row_min_num < min_num:
             min_num = row_min_num
         row_min_sd = f_scale * Fraction(*best_low)

@@ -227,11 +227,11 @@ def test_verify_proof_corrupted_convexity(monkeypatch, capsys):
     calls = []
 
     def corrupted(*args):
-        p_poly, q_poly, num2, f_scale, num_scale = real(*args)
+        p_poly, num_poly, f_scale, num_scale, k_top = real(*args)
         calls.append(args)
         if len(calls) == 1:
             p_poly = [-coeff for coeff in p_poly]
-        return p_poly, q_poly, num2, f_scale, num_scale
+        return p_poly, num_poly, f_scale, num_scale, k_top
 
     monkeypatch.setattr(proofcheck, "_envelope_polys", corrupted)
     code = cli.main(["verify-proof", "--step", "1/50", "--case", "NEG_KMIN"])

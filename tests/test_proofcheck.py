@@ -25,14 +25,12 @@ from hkzdefect.proofcheck import (
     NEG_KMIN,
     POS_KMAX,
     POS_KMIN,
-    bound_expression_value,
     case_region_contains,
     envelope_second_difference,
     envelope_second_difference_float,
     envelope_value,
     grid_points,
     implied_k_l,
-    kmin_region_contains,
     numerator_display_neg_grouped,
     numerator_display_neg_sum,
     numerator_display_pos_grouped,
@@ -41,6 +39,27 @@ from hkzdefect.proofcheck import (
 )
 
 HALF = Fr(1, 2)
+
+
+def kmin_region_contains(lam, mu):
+    """Oracle for the negative-sigma k-minimal region, in Fraction form.
+
+    The true lower boundary on mu is 1 + lambda - sqrt(lambda^2 + 2 lambda),
+    irrational in general; since mu <= 1/2 < 1 + lambda it is equivalent to
+    the all-rational test (1 + lambda - mu)^2 <= lambda^2 + 2 lambda.  The
+    region is empty below lambda = 1/4 exactly.
+    """
+    return lam >= Fr(1, 4) and (1 + lam - mu) ** 2 <= lam * lam + 2 * lam
+
+
+def bound_expression_value(case_id, lam, mu, sigma):
+    """Oracle: the case's defect upper-bound expression evaluated directly,
+    independent of the quadratic coefficients."""
+    k, l = implied_k_l(case_id, lam, mu, sigma)
+    if k <= 0 or l <= 0:
+        raise ValueError("bound expression undefined: implied k or l nonpositive")
+    return defect_from_parameters(CasePoint(lam, mu, sigma, k, l))
+
 
 EXTREMAL_POS = CasePoint(HALF, HALF, HALF, Fr(1), Fr(3, 4))
 EXTREMAL_NEG = CasePoint(HALF, HALF, -HALF, Fr(1), Fr(3, 4))
@@ -178,15 +197,19 @@ def test_kmin_region_rational_test_matches_sqrt_form():
         if abs(lhs - rhs) < 1e-9:
             continue  # too close to the boundary for a float comparison
         assert kmin_region_contains(lam, mu) == (lam >= Fr(1, 4) and lhs >= rhs)
+        assert case_region_contains(NEG_KMIN, lam, mu) == kmin_region_contains(lam, mu)
 
 
 def test_kmin_region_empty_below_quarter():
     for num in range(0, 50):  # lambda = num/200 < 1/4
         lam = Fr(num, 200)
         assert not any(
-            kmin_region_contains(lam, Fr(m, 200)) for m in range(0, 101)
+            kmin_region_contains(lam, Fr(m, 200))
+            or case_region_contains(NEG_KMIN, lam, Fr(m, 200))
+            for m in range(0, 101)
         )
     assert kmin_region_contains(Fr(1, 4), HALF)  # boundary is attained exactly
+    assert case_region_contains(NEG_KMIN, Fr(1, 4), HALF)
 
 
 def test_scan_visits_no_small_lambda():
@@ -235,6 +258,14 @@ def test_scan_cases_at_coarse_step(case_id):
     else:
         assert found == set()
         assert report.max_value == Fr(-5, 256)
+
+
+def test_scan_at_the_finest_step():
+    # 1/1000 is the finest step verify-proof accepts
+    report = scan_case(NEG_KMIN, Fr(1, 1000))
+    assert report.points_checked == 2_783_088
+    assert report.passed
+    assert report.max_value == Fr(-5, 256)
 
 
 def test_scan_equality_point_carries_extremal_parameters():

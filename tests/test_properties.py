@@ -4,12 +4,16 @@ Derandomized with a bounded example count, so every run checks the same
 inputs and the suite stays deterministic.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Fr
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hkzdefect import (
+    GramFormatError,
     GramMatrix,
     NotPositiveDefiniteError,
     Unimodular,
@@ -21,8 +25,10 @@ from hkzdefect import (
     lls_bound,
     new_bound,
     orthogonality_defect,
+    parse_gram_text,
     successive_minima,
 )
+from hkzdefect import cli
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -160,3 +166,57 @@ def test_minima_scale_with_the_gram(gram, factor):
     scaled = successive_minima(gram.scaled(factor))
     assert scaled.minima_sq == tuple(factor * m for m in minima.minima_sq)
     assert scaled.witnesses == minima.witnesses
+
+
+# --- the Gram text parser on arbitrary input ------------------------------------
+
+_TEXT_CHARS = list("0123456789/+-. \t\r\n\x0b\x0c\x1c\x85\u2028e_x#\x00") + ["١", "é"]
+_TOKENS = ["0", "1", "2", "-1", "+4", "3/2", "-5/7", "99999999999999999999"] * 2 + [
+    "1/0", "0/0", "--1", "1/2/3", "2/-3", "0.5", "1e3", "1_0", "١", "/", "x", "#"
+]
+
+
+@st.composite
+def gram_texts(draw):
+    """Arbitrary text, or text shaped like a Gram file with odd tokens."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=st.sampled_from(_TEXT_CHARS), max_size=40))
+    n = draw(st.integers(1, 3))
+    rank = draw(st.sampled_from([str(n)] * 4 + [f" +{n} ", f"{n}.0", "0", "-1", "", "١"]))
+    # mostly n rows of n tokens, sometimes one more or one fewer
+    sizes = st.sampled_from([n, n, n, n - 1, n + 1])
+    rows = [
+        " ".join(draw(st.sampled_from(_TOKENS)) for _ in range(draw(sizes)))
+        for _ in range(draw(sizes))
+    ]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = draw(st.sampled_from(["", newline, newline * 2 + "junk"]))
+    return newline.join([rank, *rows]) + tail
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.gram"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(gram_texts())
+def test_parser_rejects_bad_text_with_one_error_line(fuzz_path, text):
+    # any other exception type escapes and fails the test
+    try:
+        parse_gram_text(text)
+        parsed = True
+    except (GramFormatError, NotPositiveDefiniteError, ValueError):
+        parsed = False
+    fuzz_path.write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["defect", str(fuzz_path)])
+    if parsed:
+        assert code == 0 and err.getvalue() == ""
+        return
+    assert code in (2, 3)
+    assert out.getvalue() == ""
+    message = err.getvalue()
+    assert message.startswith("error: ") and message.count("\n") == 1
+    assert message.endswith("\n") and message.count("error:") == 1
