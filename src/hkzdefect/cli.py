@@ -27,6 +27,7 @@ from .core import (
     format_gram_text,
     format_rat,
     load_gram,
+    parse_rational,
 )
 from .experiments import (
     ExperimentConfig,
@@ -194,8 +195,8 @@ def cmd_bounds(args) -> int:
 def cmd_verify_proof(args) -> int:
     from . import proofcheck
     try:
-        step = Fraction(args.step)
-    except (ValueError, ZeroDivisionError):
+        step = parse_rational(args.step)
+    except ValueError:
         print(f"error: invalid step {args.step!r}", file=sys.stderr)
         return EXIT_PARSE
     if step <= 0 or step > Fraction(1, 50):

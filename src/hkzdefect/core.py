@@ -332,6 +332,20 @@ _RANK_TOKEN = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def parse_rational(token: str) -> Fraction:
+    """The rational an ASCII integer or p/q token stands for, with an
+    optional sign and a positive q.  Raises ValueError for any other text,
+    a zero denominator included: unlike Fraction(), no decimals, exponents
+    (10**exponent is unbounded), digit separators, spaces or non-ASCII digits.
+    """
+    if not _RATIONAL_TOKEN.fullmatch(token):
+        raise ValueError(f"invalid rational {token!r}")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
+
+
 def parse_gram_text(text: str) -> GramMatrix:
     """Parse the Gram matrix text format, rejecting asymmetric or non-PD input.
 
@@ -369,10 +383,8 @@ def parse_gram_text(text: str) -> GramMatrix:
                     f"exponent notation not allowed: {token!r}", lineno, j + 1
                 )
             try:
-                if not _RATIONAL_TOKEN.fullmatch(token):
-                    raise ValueError(token)
-                row.append(Fraction(token))
-            except (ValueError, ZeroDivisionError):
+                row.append(parse_rational(token))
+            except ValueError:
                 raise GramFormatError(
                     f"invalid rational {token!r}", lineno, j + 1
                 ) from None

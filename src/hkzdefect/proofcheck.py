@@ -31,6 +31,13 @@ from fractions import Fraction
 # loads on demand, perhaps while a caller has rebound one of them
 from . import bounds, reduction
 from .core import GramMatrix, GSOData, format_rat
+from .displays import (
+    ScaledRational,
+    numerator_display_neg_grouped,
+    numerator_display_neg_sum,
+    numerator_display_pos_grouped,
+    numerator_display_pos_sum,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -687,10 +694,6 @@ def _envelope_value_float(side, lam, mu, sigma, k) -> float:
 def envelope_second_difference_float(side: str, point: CasePoint, step: float) -> float:
     lam, mu = float(point.lam), float(point.mu)
     sigma, k = float(point.sigma), float(point.k)
-    return _second_difference_float(side, lam, mu, sigma, k, step)
-
-
-def _second_difference_float(side, lam, mu, sigma, k, step) -> float:
     return (
         _envelope_value_float(side, lam, mu, sigma, k - step)
         - 2.0 * _envelope_value_float(side, lam, mu, sigma, k)
@@ -698,76 +701,8 @@ def _second_difference_float(side, lam, mu, sigma, k, step) -> float:
     )
 
 
-# verbatim transcriptions of the two expanded numerator displays and their
-# regrouped variants, kept for comparison against the recomputed numerator;
-# mismatches are reported, never silently corrected.
-
-
-def numerator_display_neg_sum(lam, mu, sigma, k) -> Fraction:
-    w = 1 - (1 - lam - mu) ** 2 - k * (1 + sigma) ** 2
-    m2 = mu * mu + k * sigma * sigma
-    e = (1 + sigma) ** 2
-    return (
-        2 * lam**2 * m2 * w**2
-        + 2 * lam**2 * w**3
-        - 2 * lam**2 * k * e * m2 * w
-        - 2 * k * lam**2 * sigma**2 * w**2
-        + 2 * lam**2 * k**2 * e**2 * m2
-        + 2 * k**3 * e**2 * m2
-        + 2 * lam**2 * k**2 * sigma**2 * e * w
-        + 2 * k**3 * sigma**2 * e
-    )
-
-
-def numerator_display_neg_grouped(lam, mu, sigma, k) -> Fraction:
-    w = 1 - (1 - lam - mu) ** 2 - k * (1 + sigma) ** 2
-    m2 = mu * mu + k * sigma * sigma
-    e = (1 + sigma) ** 2
-    return (
-        lam**2 * m2 * (1 - (1 - lam - mu) ** 2 - 2 * k * e) ** 2
-        + lam**2 * w * (1 - (1 - lam - mu) ** 2 - k * (e + sigma**2)) ** 2
-        + lam**2 * m2 * w**2
-        + lam**2 * w**3
-        + lam**2 * k**2 * e**2 * m2
-        + 2 * k**3 * e**2 * m2
-        + lam**2 * k**2 * (2 * sigma**2 * e - sigma**4) * w
-        + 2 * k**3 * sigma**2 * e
-    )
-
-
-def numerator_display_pos_sum(lam, mu, sigma, k) -> Fraction:
-    v = 1 - (lam - mu) ** 2 - k * (1 - sigma) ** 2
-    m2 = mu * mu + k * sigma * sigma
-    e = (1 - sigma) ** 2
-    return (
-        2 * lam**2 * m2 * v**2
-        + 2 * lam**2 * v**3
-        - 2 * lam**2 * k * e * m2 * v
-        - 2 * lam**2 * k * sigma**2 * v**2
-        + 2 * lam**2 * k**2 * e**2 * m2
-        + 2 * k**3 * e**2 * m2
-        + 2 * lam**2 * k**2 * sigma**2 * e * v
-        + 2 * k**3 * sigma**2 * e * v
-    )
-
-
-def numerator_display_pos_grouped(lam, mu, sigma, k) -> Fraction:
-    v = 1 - (lam - mu) ** 2 - k * (1 - sigma) ** 2
-    m2 = mu * mu + k * sigma * sigma
-    e = (1 - sigma) ** 2
-    return (
-        lam * m2 * (1 - (lam - mu) ** 2 - 2 * k * e) ** 2
-        + lam**2 * v * (1 - (lam - mu) ** 2 - k * (e + sigma**2)) ** 2
-        + lam**2 * m2 * v**2
-        + lam**2 * v**3
-        + lam**2 * k**2 * e**2 * m2
-        + 2 * k**3 * e**2 * m2
-        + lam**2 * k**2 * sigma**2 * e * v
-        + k**3 * (2 * sigma**2 * e - sigma**4) * v
-        + 2 * k**3 * sigma**2 * e * v
-    )
-
-
+# the verbatim numerator displays (`displays`); mismatches are reported,
+# never silently corrected
 _DISPLAYS = {
     "NEG": (
         ("neg_sum", numerator_display_neg_sum),
@@ -845,11 +780,6 @@ def _difference_weights(q_poly, m_values) -> list[tuple]:
     return entries
 
 
-def _ratio_less(x, y) -> bool:
-    """x[0]/x[1] < y[0]/y[1] for positive denominators."""
-    return x[0] * y[1] < y[0] * x[1]
-
-
 def convexity_scan(
     case_id: str,
     per_axis: int = 10,
@@ -870,11 +800,15 @@ def convexity_scan(
     a positive scale of the triple, with q the same for every triple
     (`_envelope_polys`).  So the weights of p in both second differences are
     tabulated once per scan (`_difference_weights`), each sample is a few
-    integer dot products, and a `Fraction` is built only for a triple's
-    scales and minima and for reported samples.
+    integer dot products and cross-products, and a `Fraction` is built only
+    for a triple's scales, the scan's minima and reported samples.  The
+    displays are evaluated on `ScaledRational`s over D = lcm(L, S, k_den),
+    with k = k_num t/k_den.
     """
     if case_id not in ALL_CASES:
         raise ValueError(f"unknown case {case_id!r}")
+    if per_axis < 2:
+        raise ValueError(f"per_axis must be at least 2, got {per_axis}")
     side = _side_of(case_id)
     big_l, big_s, parts = 2 * (per_axis - 1), 6 * (per_axis - 1), per_axis + 1
     big_m = 8 * parts
@@ -882,8 +816,8 @@ def convexity_scan(
     # sample t at m = 8t, k -+ h at m -+ 2 and k -+ h/2 at m -+ 1
     shared = _difference_weights((0, big_m, -1), range(8, big_m, 8))
     checked = 0
-    min_num: Fraction | None = None
-    min_sd: Fraction | None = None
+    # the minima as (numerator, denominator) pairs, denominators positive
+    min_num = min_sd = None
     min_float = math.inf
     matches = {name: True for name, _fn in _DISPLAYS[side]}
     worst: ConvexitySample | None = None
@@ -913,41 +847,72 @@ def convexity_scan(
         (p0, p1, p2), (n0, n1, n2, n3), f_scale, num_scale, k_top = _envelope_polys(
             side, i, j, s, big_l, big_s, big_m
         )
-        floats = i / big_l, j / big_l, s / big_s
-        # float(k) and float(h) of the exact rationals: int / int division
-        # rounds correctly
         k_num, k_den = k_top.numerator, k_top.denominator * parts
+        # `_envelope_value_float` with the same operations in the same order,
+        # so each float_check is bit for bit the float second difference;
+        # int / int division rounds k and h correctly
+        lam_f, mu_f, sigma_f = i / big_l, j / big_l, s / big_s
+        if side == "NEG":
+            c_f, e_f = 1.0 - (1.0 - lam_f - mu_f) ** 2, (1.0 + sigma_f) ** 2
+        else:
+            c_f, e_f = 1.0 - (lam_f - mu_f) ** 2, (1.0 - sigma_f) ** 2
+        lam2, mu2 = lam_f * lam_f, mu_f * mu_f
         h_float = k_num / (4 * k_den)
-        best = best_low = row_min = None
-        for t, (m, m2, m3, at_2, at_1) in enumerate(shared, 1):
-            (w0, w1, w2, d), (v0, v1, v2, d_half) = at_2, at_1
+        shown = ()
+        if checked < _DISPLAY_SAMPLES:
+            shown = [(name, fn) for name, fn in _DISPLAYS[side] if matches[name]]
+            big_d = math.lcm(big_l, big_s, k_den)
+            lam_x, mu_x, sigma_x = (
+                ScaledRational(x * (big_d // y), 1, big_d)
+                for x, y in ((i, big_l), (j, big_l), (s, big_s))
+            )
+            k_unit = k_num * (big_d // k_den)
+        best = row_min = None
+        for t, (m, m2, m3, (w0, w1, w2, d), (v0, v1, v2, d_half)) in enumerate(
+            shared, 1
+        ):
             num = n0 + n1 * m + n2 * m2 + n3 * m3
-            sd = (p0 * w0 + p1 * w1 + p2 * w2, d)
-            sd_half = (p0 * v0 + p1 * v1 + p2 * v2, d_half)
-            fcheck = _second_difference_float(side, *floats, k_num * t / k_den, h_float)
-            record = (t, num, sd, sd_half, fcheck)
+            sd = p0 * w0 + p1 * w1 + p2 * w2
+            sd_half = p0 * v0 + p1 * v1 + p2 * v2
+            k = k_num * t / k_den
+            lo, hi = k - h_float, k + h_float
+            fcheck = (
+                (1.0 + lam2 / lo)
+                * (1.0 + (mu2 + lo * sigma_f * sigma_f) / (c_f - lo * e_f))
+                - 2.0
+                * (
+                    (1.0 + lam2 / k)
+                    * (1.0 + (mu2 + k * sigma_f * sigma_f) / (c_f - k * e_f))
+                )
+                + (1.0 + lam2 / hi)
+                * (1.0 + (mu2 + hi * sigma_f * sigma_f) / (c_f - hi * e_f))
+            )
             checked += 1
-            if keep_samples or checked <= _DISPLAY_SAMPLES:
-                sample = exact(*record)
-                if keep_samples:
-                    kept.append(sample)
-                if checked <= _DISPLAY_SAMPLES:
-                    lam, mu, sigma, k, _l = sample.point.as_tuple()
-                    for name, fn in _DISPLAYS[side]:
-                        if matches[name] and fn(lam, mu, sigma, k) != sample.numerator:
-                            matches[name] = False
-            low = sd_half if _ratio_less(sd_half, sd) else sd
-            if best is None or _ratio_less(low, best_low):
-                best, best_low = record, low
+            if keep_samples:
+                kept.append(exact(t, num, (sd, d), (sd_half, d_half), fcheck))
+            if shown and checked <= _DISPLAY_SAMPLES:
+                k_x = ScaledRational(k_unit * t, 1, big_d)
+                value = num_scale * num
+                for name, fn in shown:
+                    if matches[name] and fn(lam_x, mu_x, sigma_x, k_x) != value:
+                        matches[name] = False
+            if sd_half * d < sd * d_half:
+                low, low_d = sd_half, d_half
+            else:
+                low, low_d = sd, d
+            if best is None or low * best_d < best_low * low_d:
+                best = (t, num, (sd, d), (sd_half, d_half), fcheck)
+                best_low, best_d = low, low_d
             if row_min is None or num < row_min:
                 row_min = num
-            min_float = min(min_float, fcheck)
-        row_min_num = num_scale * row_min
-        if min_num is None or row_min_num < min_num:
-            min_num = row_min_num
-        row_min_sd = f_scale * Fraction(*best_low)
-        if min_sd is None or row_min_sd < min_sd:
-            min_sd = row_min_sd
+            if fcheck < min_float:
+                min_float = fcheck
+        row_num = (num_scale.numerator * row_min, num_scale.denominator)
+        if min_num is None or row_num[0] * min_num[1] < min_num[0] * row_num[1]:
+            min_num = row_num
+        row_sd = (f_scale.numerator * best_low, f_scale.denominator * best_d)
+        if min_sd is None or row_sd[0] * min_sd[1] < min_sd[0] * row_sd[1]:
+            min_sd = row_sd
             worst = exact(*best)
     if min_num is None:
         raise RuntimeError(f"empty convexity region for {case_id}")
@@ -955,8 +920,8 @@ def convexity_scan(
         case_id=case_id,
         side=side,
         samples_checked=checked,
-        min_numerator=min_num,
-        min_second_difference=min_sd,
+        min_numerator=Fraction(*min_num),
+        min_second_difference=Fraction(*min_sd),
         min_float_check=min_float,
         display_matches=matches,
         worst_samples=(worst,) if worst else (),

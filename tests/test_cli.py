@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -179,6 +180,25 @@ def test_verify_proof_rejects_coarse_step(capsys):
     assert cli.main(["verify-proof", "--step", "0"]) == 3
     assert cli.main(["verify-proof", "--step", "1/51"]) == 3  # does not divide 1/2
     assert cli.main(["verify-proof", "--step", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize(
+    "step", ["1e-2000000", "5e-3", "0.005", " 1/200", "1/200 ", "1/0", "1_000"]
+)
+def test_verify_proof_step_follows_the_rational_grammar(monkeypatch, capsys, step):
+    # Fraction() would read all of these, and build 10**2000000 for the first
+    from hkzdefect import proofcheck
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify-proof started a scan")
+
+    monkeypatch.setattr(proofcheck, "run_full_verification", no_work)
+    started = time.perf_counter()
+    assert cli.main(["verify-proof", "--step", step]) == 2
+    assert time.perf_counter() - started < 0.1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: invalid step {step!r}\n"
+    assert captured.out == ""
 
 
 def test_verify_proof_rejects_fine_step(monkeypatch, capsys):

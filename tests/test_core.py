@@ -18,6 +18,7 @@ from hkzdefect import (
     parse_gram_text,
     quadratic_form_value,
 )
+from hkzdefect.core import parse_rational
 from hkzdefect.experiments import random_gram
 
 
@@ -194,15 +195,15 @@ def test_parse_rejects_exponent_notation():
         parse_gram_text("2\n1 0\n0 1E0\n")
 
 
-@pytest.mark.parametrize(
-    "token",
-    [
-        # decimals, digit separators, non-ASCII digits (Arabic-Indic, fullwidth)
-        "0.5", ".5", "1.", "1_000", "1/2_0", "\u0661", "1/\u0662", "\uff11",
-        # zero denominators, misplaced signs and slashes, non-numbers
-        "1/0", "-3/00", "1/-2", "+-1", "/2", "2/", "1//2", "inf", "nan", "0x10",
-    ],
-)
+OUTSIDE_THE_GRAMMAR = [
+    # decimals, digit separators, non-ASCII digits (Arabic-Indic, fullwidth)
+    "0.5", ".5", "1.", "1_000", "1/2_0", "\u0661", "1/\u0662", "\uff11",
+    # zero denominators, misplaced signs and slashes, non-numbers
+    "1/0", "-3/00", "1/-2", "+-1", "/2", "2/", "1//2", "inf", "nan", "0x10",
+]
+
+
+@pytest.mark.parametrize("token", OUTSIDE_THE_GRAMMAR)
 def test_parse_rejects_tokens_outside_the_grammar(token):
     with pytest.raises(GramFormatError, match="line 3, entry 2: invalid rational"):
         parse_gram_text(f"2\n1 0\n0 {token}\n")
@@ -217,6 +218,22 @@ def test_parse_rejects_entries_too_long_to_convert():
 def test_parse_accepts_the_grammar():
     g = parse_gram_text("2\n+6/4 -1/02\n-1/2 007\n")
     assert g.entries == ((Fr(3, 2), Fr(-1, 2)), (Fr(-1, 2), Fr(7)))
+
+
+@pytest.mark.parametrize(
+    "token", OUTSIDE_THE_GRAMMAR + ["", " 1/2", "1/2 ", "1/2\n", "5e-3", "1e-2000000"]
+)
+def test_parse_rational_rejects_tokens_outside_the_grammar(token):
+    # a parse is never attempted, so no exponent is ever expanded
+    with pytest.raises(ValueError, match=r"invalid rational|zero denominator"):
+        parse_rational(token)
+
+
+def test_parse_rational_accepts_the_grammar():
+    assert parse_rational("+6/4") == Fr(3, 2)
+    assert parse_rational("-1/02") == Fr(-1, 2)
+    assert parse_rational("007") == 7
+    assert parse_rational("0/5") == 0
 
 
 def test_parse_rejects_extra_rows():

@@ -9,8 +9,9 @@ peaked at 2.70 MB under tracemalloc with 8,178 tokens and at 3.17 MB with
 8,194), and every run that finds no usable `.pyc` pays it.
 
 Importing the package loads only what every command needs: no module imports
-the process pool or `proofcheck` outside a function body, and the package
-serves the `proofcheck` names it exports on first access.
+the process pool or `proofcheck` outside a function body, no module but
+`proofcheck` imports `displays`, and the package serves the `proofcheck` names
+it exports on first access.
 """
 
 import ast
@@ -56,22 +57,27 @@ def _imported_names(tree):
 DEFERRED_IMPORTS = {"concurrent", "multiprocessing", ".proofcheck"}
 
 
+def _named_modules(node):
+    """Every module an import statement names, as written (relative ones with
+    their dots, `from . import x` as `.x`); nothing for any other node."""
+    if isinstance(node, ast.Import):
+        yield from (alias.name for alias in node.names)
+    elif isinstance(node, ast.ImportFrom):
+        prefix = "." * node.level
+        if node.module:
+            yield prefix + node.module
+        else:
+            yield from (prefix + alias.name for alias in node.names)
+
+
 def _import_time_imports(tree):
-    """Every module an import outside a function body names, as written
-    (relative ones with their dots, `from . import x` as `.x`)."""
+    """Every module an import outside a function body names."""
     nodes = list(tree.body)
     while nodes:
         node = nodes.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            prefix = "." * node.level
-            if node.module:
-                yield prefix + node.module
-            else:
-                yield from (prefix + alias.name for alias in node.names)
+        yield from _named_modules(node)
         nodes.extend(ast.iter_child_nodes(node))
 
 
@@ -184,6 +190,29 @@ def test_import_time_check_catches_offenders():
         "concurrent.futures",
         "multiprocessing",
     ]
+
+
+def _imports_displays(tree):
+    """Whether any import, in a function body or not, names `displays`."""
+    return any(
+        name in (".displays", "hkzdefect.displays")
+        for node in ast.walk(tree)
+        for name in _named_modules(node)
+    )
+
+
+def test_only_proofcheck_imports_displays():
+    # the display transcriptions serve the convexity scan alone, so they load
+    # with `proofcheck` and never with `import hkzdefect`
+    importers = [path.name for path in MODULES if _imports_displays(_tree(path))]
+    assert importers == ["proofcheck.py"]
+    for text in (
+        "def f():\n    from . import bounds, displays\n",
+        "from .displays import ScaledRational\n",
+        "import hkzdefect.displays\n",
+    ):
+        assert _imports_displays(ast.parse(text))
+    assert not _imports_displays(ast.parse("from . import display_utils\n"))
 
 
 def test_every_export_resolves():

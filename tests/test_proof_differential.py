@@ -563,7 +563,7 @@ def rational_convexity(case_id, per_axis):
 
 
 @pytest.mark.parametrize("case_id", ALL_CASES)
-@pytest.mark.parametrize("per_axis", [3, 4, 5, 6, 10])
+@pytest.mark.parametrize("per_axis", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_convexity_scan_matches_rational_scan(case_id, per_axis):
     expected = rational_convexity(case_id, per_axis)
     kept = convexity_scan(case_id, per_axis, keep_samples=True)
@@ -575,3 +575,43 @@ def test_convexity_scan_matches_rational_scan(case_id, per_axis):
     assert len(kept.samples) == len(expected.samples) == expected.samples_checked
     for got, want in zip(kept.samples, expected.samples):
         assert repr(got.float_check) == repr(want.float_check)
+
+
+def corrupted_pos_sum(lam, mu, sigma, k):
+    """`numerator_display_pos_sum` with the factor 2 of its last term made 3."""
+    v = 1 - (lam - mu) ** 2 - k * (1 - sigma) ** 2
+    m2 = mu * mu + k * sigma * sigma
+    e = (1 - sigma) ** 2
+    return (
+        2 * lam**2 * m2 * v**2
+        + 2 * lam**2 * v**3
+        - 2 * lam**2 * k * e * m2 * v
+        - 2 * lam**2 * k * sigma**2 * v**2
+        + 2 * lam**2 * k**2 * e**2 * m2
+        + 2 * k**3 * e**2 * m2
+        + 2 * lam**2 * k**2 * sigma**2 * e * v
+        + 3 * k**3 * sigma**2 * e * v
+    )
+
+
+@pytest.mark.parametrize("case_id", ["POS_KMIN", "POS_KMAX"])
+def test_a_corrupted_display_fails_only_its_match(monkeypatch, case_id):
+    # the last term is nonzero at every sample, so the first comparison fails
+    real = convexity_scan(case_id, 10)
+    assert real.display_matches["pos_sum"] is True
+    table = dict(proofcheck._DISPLAYS)
+    table["POS"] = tuple(
+        (name, corrupted_pos_sum if name == "pos_sum" else fn)
+        for name, fn in table["POS"]
+    )
+    monkeypatch.setattr(proofcheck, "_DISPLAYS", table)
+    control = convexity_scan(case_id, 10)
+    assert control.display_matches == {**real.display_matches, "pos_sum": False}
+    assert dataclasses.replace(control, display_matches=real.display_matches) == real
+    assert repr(control.min_float_check) == repr(real.min_float_check)
+
+
+@pytest.mark.parametrize("per_axis", [1, 0, -2])
+def test_convexity_scan_needs_two_points_per_axis(per_axis):
+    with pytest.raises(ValueError, match="per_axis must be at least 2"):
+        convexity_scan("NEG_KMIN", per_axis)

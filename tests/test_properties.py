@@ -29,6 +29,13 @@ from hkzdefect import (
     successive_minima,
 )
 from hkzdefect import cli
+from hkzdefect.displays import (
+    ScaledRational,
+    numerator_display_neg_grouped,
+    numerator_display_neg_sum,
+    numerator_display_pos_grouped,
+    numerator_display_pos_sum,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -220,3 +227,28 @@ def test_parser_rejects_bad_text_with_one_error_line(fuzz_path, text):
     message = err.getvalue()
     assert message.startswith("error: ") and message.count("\n") == 1
     assert message.endswith("\n") and message.count("error:") == 1
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 10**6),
+    st.lists(
+        st.tuples(st.integers(-(10**6), 10**6), st.integers(0, 3)),
+        min_size=4,
+        max_size=4,
+    ),
+)
+def test_scaled_rationals_evaluate_the_displays_exactly(den, parts):
+    # (lambda, mu, sigma, k) as p/den^e over one den, with mixed exponents
+    scaled = [ScaledRational(p, e, den) for p, e in parts]
+    exact = [Fr(p, den**e) for p, e in parts]
+    for display in (
+        numerator_display_neg_sum,
+        numerator_display_neg_grouped,
+        numerator_display_pos_sum,
+        numerator_display_pos_grouped,
+    ):
+        value, want = display(*scaled), display(*exact)
+        assert value == want
+        assert value != want + Fr(1, den + 1)
+        assert Fr(value.p, den**value.e) == want
