@@ -4,8 +4,10 @@
 Seeded random Gram matrices (A A^T for integer A) are HKZ-reduced exactly and
 their defects compared against every applicable bound.  At ranks 2 and 3 the
 known extremal lattices ride along as trial 0 and attain the exact maxima; at
-rank >= 4 the observed maximum is reported against gamma_n^n, the conjectured
-exact value, without asserting it.
+rank >= 4 the observed maximum is reported against gamma_n^n without asserting
+it.  At ranks 4 to 6 gamma_n^n is attained by an HKZ-reduced root-lattice basis,
+so it is a proven lower bound on the maximal defect; that it is the exact value
+is this library's conjecture.
 """
 
 import json

@@ -106,8 +106,10 @@ def delta_exact(n: int) -> Fraction:
         raise ValueError("rank must be positive")
     if n > 3:
         raise ValueError(
-            f"exact value conjectural for rank {n}: expected to equal gamma_n^n,"
-            " but only the upper bounds are proven"
+            f"exact value conjectural for rank {n}: upper bounds are proven,"
+            " and at ranks 4 to 6 the lower bound gamma_n^n, which an"
+            " HKZ-reduced root-lattice basis attains; equality with gamma_n^n"
+            " is this library's conjecture"
         )
     return _DELTA_EXACT[n]
 

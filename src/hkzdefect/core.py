@@ -48,7 +48,7 @@ def _to_rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     raise TypeError(f"expected exact rational, got {type(value).__name__}")
 
 

@@ -627,7 +627,8 @@ def _envelope_polys(
     (the quotient rule applied twice), is num_scale * num(m) with
     num(m) = 2 p0 (M^2 - 3 M m + 3 m^2) + 2 (p1 + M p2) m^3.  Returns
     (p, num, f_scale, num_scale, k_top): coefficients from the constant term
-    up, and three positive rationals.
+    up, and three positive rationals as unreduced (numerator, denominator)
+    pairs of integers.
     """
     # (L^2 C, S^2 E); callers have already rejected an unknown side
     if side == "NEG":
@@ -640,9 +641,9 @@ def _envelope_polys(
     return (
         [p0, p1, p2],
         [2 * p0 * big_m**2, -6 * p0 * big_m, 6 * p0, 2 * (p1 + big_m * p2)],
-        Fraction(1, en * cn * cn * big_s**2),
-        Fraction(cn * cn, big_l**8 * en * en * big_m**4),
-        Fraction(a1, en * big_l**2),
+        (1, en * cn * cn * big_s**2),
+        (cn * cn, big_l**8 * en * en * big_m**4),
+        (a1, en * big_l**2),
     )
 
 
@@ -660,12 +661,13 @@ def convexity_numerator(side: str, point: CasePoint) -> Fraction:
         raise ValueError("outside case region: k and N(k) must be positive")
     big_l = math.lcm(lam.denominator, mu.denominator)
     ratio = k * e_val / c_val  # k/k_top = m/M
-    _p, num, _f_scale, num_scale, _k_top = _envelope_polys(
+    _p, num, _f_scale, (scale_num, scale_den), _k_top = _envelope_polys(
         side, int(lam * big_l), int(mu * big_l), sigma.numerator,
         big_l, sigma.denominator, ratio.denominator,
     )
     m = ratio.numerator
-    return num_scale * sum(coeff * m**d for d, coeff in enumerate(num))
+    value = sum(coeff * m**d for d, coeff in enumerate(num))
+    return Fraction(scale_num * value, scale_den)
 
 
 def envelope_second_difference(
@@ -801,9 +803,8 @@ def convexity_scan(
     (`_envelope_polys`).  So the weights of p in both second differences are
     tabulated once per scan (`_difference_weights`), each sample is a few
     integer dot products and cross-products, and a `Fraction` is built only
-    for a triple's scales, the scan's minima and reported samples.  The
-    displays are evaluated on `ScaledRational`s over D = lcm(L, S, k_den),
-    with k = k_num t/k_den.
+    for the scan's minima and reported samples.  The displays are evaluated
+    on `ScaledRational`s over D = lcm(L, S, k_den), with k = k_num t/k_den.
     """
     if case_id not in ALL_CASES:
         raise ValueError(f"unknown case {case_id!r}")
@@ -827,12 +828,12 @@ def convexity_scan(
         # the record of sample t of the current triple as rationals
         lam, mu, sigma = Fraction(i, big_l), Fraction(j, big_l), Fraction(s, big_s)
         c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
-        k = k_top * Fraction(t, parts)
+        k = Fraction(k_num * t, k_den)
         return ConvexitySample(
             CasePoint(lam, mu, sigma, k, c_val - k * e_val),
-            num_scale * num,
-            f_scale * Fraction(*sd),
-            f_scale * Fraction(*sd_half),
+            Fraction(scale_num * num, scale_den),
+            Fraction(f_num * sd[0], f_den * sd[1]),
+            Fraction(f_num * sd_half[0], f_den * sd_half[1]),
             fcheck,
         )
 
@@ -844,10 +845,14 @@ def convexity_scan(
         for s in range(first_s, first_s + per_axis)
     ]
     for i, j, s in triples:
-        (p0, p1, p2), (n0, n1, n2, n3), f_scale, num_scale, k_top = _envelope_polys(
-            side, i, j, s, big_l, big_s, big_m
-        )
-        k_num, k_den = k_top.numerator, k_top.denominator * parts
+        (
+            (p0, p1, p2),
+            (n0, n1, n2, n3),
+            (f_num, f_den),
+            (scale_num, scale_den),
+            (k_num, k_den),
+        ) = _envelope_polys(side, i, j, s, big_l, big_s, big_m)
+        k_den *= parts
         # `_envelope_value_float` with the same operations in the same order,
         # so each float_check is bit for bit the float second difference;
         # int / int division rounds k and h correctly
@@ -892,9 +897,12 @@ def convexity_scan(
                 kept.append(exact(t, num, (sd, d), (sd_half, d_half), fcheck))
             if shown and checked <= _DISPLAY_SAMPLES:
                 k_x = ScaledRational(k_unit * t, 1, big_d)
-                value = num_scale * num
+                value = scale_num * num
                 for name, fn in shown:
-                    if matches[name] and fn(lam_x, mu_x, sigma_x, k_x) != value:
+                    if (
+                        matches[name]
+                        and fn(lam_x, mu_x, sigma_x, k_x) * scale_den != value
+                    ):
                         matches[name] = False
             if sd_half * d < sd * d_half:
                 low, low_d = sd_half, d_half
@@ -907,10 +915,10 @@ def convexity_scan(
                 row_min = num
             if fcheck < min_float:
                 min_float = fcheck
-        row_num = (num_scale.numerator * row_min, num_scale.denominator)
+        row_num = (scale_num * row_min, scale_den)
         if min_num is None or row_num[0] * min_num[1] < min_num[0] * row_num[1]:
             min_num = row_num
-        row_sd = (f_scale.numerator * best_low, f_scale.denominator * best_d)
+        row_sd = (f_num * best_low, f_den * best_d)
         if min_sd is None or row_sd[0] * min_sd[1] < min_sd[0] * row_sd[1]:
             min_sd = row_sd
             worst = exact(*best)

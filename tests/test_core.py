@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as Fr
 from itertools import product
 
@@ -9,6 +10,7 @@ from hkzdefect import (
     NotPositiveDefiniteError,
     SingularBasisError,
     Unimodular,
+    VectorBasis,
     apply_unimodular,
     determinant,
     format_gram_text,
@@ -234,6 +236,25 @@ def test_parse_rational_accepts_the_grammar():
     assert parse_rational("-1/02") == Fr(-1, 2)
     assert parse_rational("007") == 7
     assert parse_rational("0/5") == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda entry: GramMatrix.from_rows([[entry]]),
+        lambda entry: VectorBasis.from_rows([[entry, 0]]),
+        lambda entry: GramMatrix.from_rows([[1]]).scaled(entry),
+    ],
+    ids=["GramMatrix.from_rows", "VectorBasis.from_rows", "GramMatrix.scaled"],
+)
+def test_string_entries_follow_the_grammar(build):
+    assert build("1/2") == build(Fr(1, 2))
+    for token in ("1e6000000", "0.5", "1_000"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="invalid rational"):
+            build(token)
+        # refused before any exponent is expanded
+        assert time.perf_counter() - start < 0.1
 
 
 def test_parse_rejects_extra_rows():

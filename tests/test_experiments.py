@@ -1,6 +1,4 @@
-import concurrent.futures
 import json
-import os
 from fractions import Fraction as Fr
 
 import pytest
@@ -18,7 +16,7 @@ from hkzdefect import (
     summary_json,
 )
 from hkzdefect import experiments, reduction
-from hkzdefect.experiments import _A2_GRAM, _trial_gram, _worker_count
+from hkzdefect.experiments import _A2_GRAM, _trial_gram
 
 
 def test_random_gram_deterministic():
@@ -104,7 +102,6 @@ def test_run_experiment_rank4_chain_and_bounds():
 def test_each_trial_certified_once(monkeypatch):
     # one certificate for the basis and one for its leading block, one
     # full-rank minima enumeration and one factorization, per trial
-    monkeypatch.delenv("HKZ_THREADS", raising=False)
     certify, minima = reduction._certify, reduction._minima_from_gso
     factor, chain = reduction.ldl, experiments.check_defect_chain
     calls = {"certified": 0, "full_minima": 0, "ldl": 0}
@@ -150,58 +147,6 @@ def test_csv_reproducible_and_exact():
     )
     assert len(lines) == 9
     assert lines[1].startswith("0,3,25/12,")
-
-
-def test_parallel_trials_match_serial(monkeypatch):
-    cfg = ExperimentConfig(rank=3, trials=6, seed=33)
-    serial = records_to_csv(run_experiment(cfg).records)
-    monkeypatch.setenv("HKZ_THREADS", "2")
-    parallel = records_to_csv(run_experiment(cfg).records)
-    assert serial == parallel
-
-
-def test_pool_branch_matches_serial(monkeypatch):
-    # Forces the HKZ_THREADS > 1 branch whatever the CPU count, with a thread
-    # pool standing in for the process pool so that no process is started.
-    pools = []
-
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    cfg = ExperimentConfig(rank=3, trials=6, seed=33)
-    monkeypatch.delenv("HKZ_THREADS", raising=False)
-    serial = records_to_csv(run_experiment(cfg).records)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setenv("HKZ_THREADS", "3")
-    pooled = records_to_csv(run_experiment(cfg).records)
-    assert pools == [3]
-    assert pooled == serial
-    # trial 0 at rank 3 is the extremal form, which the trial imports on demand
-    assert pooled.splitlines()[1].startswith("0,3,25/12,")
-
-
-@pytest.mark.parametrize(
-    "raw, cpus, trials, expected",
-    [
-        (None, 8, 100, 1),  # HKZ_THREADS unset
-        ("1", 8, 100, 1),
-        ("3", 8, 100, 3),
-        ("100000", 2, 100, 2),  # clamped to the CPU count
-        ("100000", 64, 5, 5),  # clamped to the number of trials
-        ("100000", None, 100, 1),  # CPU count unknown
-        ("4", 8, 1, 1),
-        ("0", 8, 100, 1),
-        ("-3", 8, 100, 1),
-        ("2.5", 8, 100, 1),
-        ("many", 8, 100, 1),
-        ("", 8, 100, 1),
-    ],
-)
-def test_worker_count_clamp(raw, cpus, trials, expected):
-    assert _worker_count(raw, cpus, trials) == expected
 
 
 def test_summary_json_fields():

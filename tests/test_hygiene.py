@@ -9,9 +9,10 @@ peaked at 2.70 MB under tracemalloc with 8,178 tokens and at 3.17 MB with
 8,194), and every run that finds no usable `.pyc` pays it.
 
 Importing the package loads only what every command needs: no module imports
-the process pool or `proofcheck` outside a function body, no module but
-`proofcheck` imports `displays`, and the package serves the `proofcheck` names
-it exports on first access.
+`proofcheck` outside a function body, no module but `proofcheck` imports
+`displays`, and the package serves the `proofcheck` names it exports on first
+access.  No module imports a process, thread or pool module anywhere, so the
+library never starts a process or a thread.
 """
 
 import ast
@@ -54,7 +55,10 @@ def _imported_names(tree):
 
 
 # modules that a command loads inside the function that needs them
-DEFERRED_IMPORTS = {"concurrent", "multiprocessing", ".proofcheck"}
+DEFERRED_IMPORTS = {".proofcheck"}
+
+# modules that start processes or threads; no library module imports them
+PROCESS_IMPORTS = {"concurrent", "multiprocessing", "subprocess", "threading"}
 
 
 def _named_modules(node):
@@ -68,6 +72,12 @@ def _named_modules(node):
             yield prefix + node.module
         else:
             yield from (prefix + alias.name for alias in node.names)
+
+
+def _all_imports(tree):
+    """Every module any import names, function bodies included."""
+    for node in ast.walk(tree):
+        yield from _named_modules(node)
 
 
 def _import_time_imports(tree):
@@ -172,32 +182,60 @@ def test_no_import_time_pool_or_proofcheck():
 
 def test_import_time_check_catches_offenders():
     tree = ast.parse(
-        "import concurrent.futures\n"
         "from . import bounds, proofcheck\n"
         "if True:\n"
-        "    import multiprocessing as mp\n"
+        "    from .proofcheck import ALL_CASES\n"
         "class Holder:\n"
         "    from .proofcheck import extremal_gram\n"
         "from .reduction import hkz_reduce\n"
         "def run():\n"
-        "    from concurrent.futures import ProcessPoolExecutor\n"
         "    from . import proofcheck\n"
     )
     flagged = sorted(name for name in _import_time_imports(tree) if _deferred(name))
+    assert flagged == [".proofcheck", ".proofcheck", ".proofcheck"]
+
+
+def _starts_processes(imported):
+    """Whether an imported module name falls under PROCESS_IMPORTS."""
+    return imported.split(".")[0] in PROCESS_IMPORTS
+
+
+def test_library_starts_no_process():
+    offenders = [
+        f"{path.name}: {imported}"
+        for path in MODULES
+        for imported in _all_imports(_tree(path))
+        if _starts_processes(imported)
+    ]
+    assert offenders == []
+
+
+def test_process_check_catches_offenders():
+    tree = ast.parse(
+        "import concurrent.futures\n"
+        "from . import bounds\n"
+        "from .threading_notes import x\n"
+        "import concurrently\n"
+        "def run():\n"
+        "    from multiprocessing import Pool\n"
+        "    import os, subprocess as sp\n"
+        "class Holder:\n"
+        "    def start(self):\n"
+        "        from threading import Thread\n"
+    )
+    flagged = sorted(name for name in _all_imports(tree) if _starts_processes(name))
     assert flagged == [
-        ".proofcheck",
-        ".proofcheck",
         "concurrent.futures",
         "multiprocessing",
+        "subprocess",
+        "threading",
     ]
 
 
 def _imports_displays(tree):
     """Whether any import, in a function body or not, names `displays`."""
     return any(
-        name in (".displays", "hkzdefect.displays")
-        for node in ast.walk(tree)
-        for name in _named_modules(node)
+        name in (".displays", "hkzdefect.displays") for name in _all_imports(tree)
     )
 
 
