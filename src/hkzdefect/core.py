@@ -1,7 +1,8 @@
 """Exact rational lattice kernels: Gram matrices, LDL orthogonalization, unimodular maps.
 
 A lattice is represented by the Gram matrix of a basis, G[i][j] = <b_i, b_j>,
-with entries kept as `fractions.Fraction` throughout.  Working on Gram matrices
+with `fractions.Fraction` entries.  `ldl` works in Fractions; U G U^T is formed
+on integers over one common denominator.  Working on Gram matrices
 instead of coordinate vectors keeps every quantity rational: lattices such as
 the hexagonal one need irrational coordinates but have a perfectly rational
 Gram matrix.  No floating point is used anywhere in this module.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class SingularBasisError(ValueError):
@@ -309,18 +311,25 @@ class Unimodular:
 
 
 def apply_unimodular(gram: GramMatrix, transform: Unimodular) -> GramMatrix:
-    """Gram matrix of the transformed basis b'_i = sum_j U[i][j] b_j, i.e. U G U^T."""
+    """Gram matrix of the transformed basis b'_i = sum_j U[i][j] b_j, i.e. U G U^T.
+
+    Computed on integers over one denominator: with D the lcm of the entries'
+    denominators, D G is an integer matrix, U (D G) U^T is formed in Python
+    ints over the nonzero support of U, and each entry of the lower triangle
+    becomes one Fraction(value, D), mirrored above the diagonal.
+    """
     n = gram.n
     if transform.n != n:
         raise ValueError("dimension mismatch")
-    g = gram.entries
-    # nonzero entries of each row of U; every row has one, so sums are Fractions
+    den = lcm(*(v.denominator for row in gram.entries for v in row))
+    g = [[v.numerator * (den // v.denominator) for v in row] for row in gram.entries]
     support = [[(k, c) for k, c in enumerate(row) if c] for row in transform.entries]
     ug = [[sum(g[k][j] * c for k, c in row) for j in range(n)] for row in support]
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            rows[i][j] = rows[j][i] = sum(ug[i][k] * c for k, c in support[j])
+            value = sum(ug[i][k] * c for k, c in support[j])
+            rows[i][j] = rows[j][i] = Fraction(value, den)
     return GramMatrix(tuple(map(tuple, rows)))
 
 

@@ -324,15 +324,18 @@ def _certify(gso: GSOData) -> HKZCertificate:
     return HKZCertificate(True, None)
 
 
-def _independent_over_q(rows: list[list[Fraction]], candidate) -> bool:
-    """Incremental rank test; mutates `rows` (kept in echelon form) on success."""
-    vec = [Fraction(v) for v in candidate]
+def _independent_over_q(rows: list[list[int]], candidate) -> bool:
+    """Incremental rank test on integer vectors, mutating `rows` (kept in
+    echelon form) on success.  Fraction-free: vec = a vec - b row, with a the
+    row's pivot and b vec's entry there, keeps the zeros at earlier pivots."""
+    vec = list(candidate)
     for row in rows:
-        pivot = next(i for i, v in enumerate(row) if v != 0)
-        if vec[pivot] != 0:
-            factor = vec[pivot] / row[pivot]
-            vec = [a - factor * b for a, b in zip(vec, row)]
-    if any(v != 0 for v in vec):
+        pivot = next(i for i, v in enumerate(row) if v)
+        b = vec[pivot]
+        if b:
+            a = row[pivot]
+            vec = [a * x - b * y for x, y in zip(vec, row)]
+    if any(vec):
         rows.append(vec)
         return True
     return False
@@ -363,7 +366,7 @@ def _minima_from_gso(mu, bstar) -> list[tuple[Fraction, tuple[int, ...]]]:
     radius = max(_basis_norms(mu, bstar))
     _, found, _ = _enumerate(mu, bstar, radius, shrink=False)
     found.sort(key=lambda item: (item[0],) + _preference_key(item[1]))
-    echelon: list[list[Fraction]] = []
+    echelon: list[list[int]] = []
     picked = []
     for norm_sq, coeffs in found:
         if _independent_over_q(echelon, coeffs):

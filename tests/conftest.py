@@ -7,6 +7,41 @@ from hkzdefect import GramMatrix
 from hkzdefect.core import NotPositiveDefiniteError, ldl
 
 
+# Oracles: the Fraction versions of `core.apply_unimodular` and
+# `reduction._independent_over_q` that the library used before its integer
+# kernels, kept unchanged so that tests do not check the code against itself.
+
+
+def fraction_apply_unimodular(gram, transform):
+    """Gram matrix of the transformed basis b'_i = sum_j U[i][j] b_j, i.e. U G U^T."""
+    n = gram.n
+    if transform.n != n:
+        raise ValueError("dimension mismatch")
+    g = gram.entries
+    # nonzero entries of each row of U; every row has one, so sums are Fractions
+    support = [[(k, c) for k, c in enumerate(row) if c] for row in transform.entries]
+    ug = [[sum(g[k][j] * c for k, c in row) for j in range(n)] for row in support]
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = sum(ug[i][k] * c for k, c in support[j])
+    return GramMatrix(tuple(map(tuple, rows)))
+
+
+def fraction_independent_over_q(rows, candidate) -> bool:
+    """Incremental rank test; mutates `rows` (kept in echelon form) on success."""
+    vec = [Fr(v) for v in candidate]
+    for row in rows:
+        pivot = next(i for i, v in enumerate(row) if v != 0)
+        if vec[pivot] != 0:
+            factor = vec[pivot] / row[pivot]
+            vec = [a - factor * b for a, b in zip(vec, row)]
+    if any(v != 0 for v in vec):
+        rows.append(vec)
+        return True
+    return False
+
+
 def bounded_gram(rank: int, seed: int, bound: int = 10) -> GramMatrix:
     """Random positive-definite integer Gram with |entries| <= bound.
 

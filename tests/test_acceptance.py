@@ -186,7 +186,7 @@ def _box_minimum(gram: GramMatrix, box: int) -> int:
 
 
 def _box_minima(gram: GramMatrix, box: int) -> tuple:
-    from hkzdefect.reduction import _independent_over_q
+    from conftest import fraction_independent_over_q
 
     g = _int_entries(gram)
     n = gram.n
@@ -198,7 +198,7 @@ def _box_minima(gram: GramMatrix, box: int) -> tuple:
     scored.sort(key=lambda t: t[0])
     rows, minima = [], []
     for value, x in scored:
-        if _independent_over_q(rows, x):
+        if fraction_independent_over_q(rows, x):
             minima.append(Fr(value))
             if len(minima) == n:
                 break

@@ -5,7 +5,12 @@ references built only from public functions.
 of each projected lattice, its completion to a unimodular block, a full
 U G U^T rebuild, a size reduction, and at the end the +-1/2 sign flip.  The
 library carries one transform and the GSO data through the levels instead,
-so both must agree exactly, node counts included.
+so both must agree exactly, node counts included.  Its rebuilds use the
+Fraction oracle `fraction_apply_unimodular`, not the library's integer one.
+
+The integer kernels `apply_unimodular` and `_independent_over_q` are checked
+against their Fraction oracles in `conftest.py` on inputs the other tests do
+not draw: large and mixed denominators, integer entries, huge vectors.
 
 `_Enumerator` is the enumeration class the library used before its one
 `_enumerate` function; kept unchanged here, it is the oracle for that
@@ -35,10 +40,13 @@ from hkzdefect.experiments import random_gram
 from hkzdefect.reduction import (
     _basis_norms,
     _enumerate,
+    _independent_over_q,
     _nearest_int,
     _normalize_sign,
     complete_primitive_row,
 )
+
+from conftest import fraction_apply_unimodular, fraction_independent_over_q
 
 
 def _mat_mul(a, b):
@@ -62,9 +70,10 @@ def reference_hkz(gram):
         step = _identity(n)
         for a, row in enumerate(block):
             step[level + a][level:] = row
-        current = apply_unimodular(current, Unimodular.from_rows(step))
+        current = fraction_apply_unimodular(current, Unimodular.from_rows(step))
         transform = _mat_mul(step, transform)
-        current, u_sr = size_reduce(current)
+        _, u_sr = size_reduce(current)
+        current = fraction_apply_unimodular(current, u_sr)
         transform = _mat_mul([list(r) for r in u_sr.entries], transform)
     mu = ldl(current).mu
     signs = [1] * n
@@ -75,7 +84,7 @@ def reference_hkz(gram):
                     signs[t] = -1
                 break
     flip = [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    current = apply_unimodular(current, Unimodular.from_rows(flip))
+    current = fraction_apply_unimodular(current, Unimodular.from_rows(flip))
     transform = _mat_mul(flip, transform)
     return current, Unimodular.from_rows(transform), svp_calls, total_nodes
 
@@ -261,3 +270,110 @@ def test_enumerate_matches_old_enumerator(index):
         radius = max(_basis_norms(mu, bstar))
         below, nodes = _Enumerator(mu, bstar).below(radius)
         assert _enumerate(mu, bstar, radius, shrink=False) == (radius, below, nodes)
+
+
+# --- integer kernels against their Fraction oracles --------------------------
+
+MERSENNE_61 = 2**61 - 1
+
+
+def mixed_denominator_gram(rank, seed):
+    """A symmetric Gram (not necessarily positive definite) whose rows mix
+    entries over 1, 7, 11*13 and 2^61 - 1, signs included."""
+    rng = random.Random(seed)
+    rows = [[None] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1):
+            den = rng.choice((1, 7, 11 * 13, MERSENNE_61))
+            num = rng.choice((rng.randint(-60, 60), rng.randint(-(10**20), 10**20)))
+            rows[i][j] = rows[j][i] = Fr(num, den)
+    return GramMatrix.from_rows(rows)
+
+
+def kernel_transforms(rank, seed):
+    """Identity, a permutation, a sign flip and products of elementary
+    row operations, as unimodular matrices."""
+    rng = random.Random(seed)
+    perm = list(range(rank))
+    rng.shuffle(perm)
+    yield Unimodular.identity(rank)
+    yield Unimodular.from_rows([[int(j == perm[i]) for j in range(rank)] for i in range(rank)])
+    yield Unimodular.from_rows(
+        [[rng.choice((-1, 1)) if i == j else 0 for j in range(rank)] for i in range(rank)]
+    )
+    for _ in range(4):
+        u = _identity(rank)
+        for _ in range(3 * rank):
+            i, j = rng.randrange(rank), rng.randrange(rank)
+            if i == j:
+                u[i] = [-v for v in u[i]]
+            else:
+                q = rng.choice((-3, -2, -1, 1, 2, 3))
+                u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+        yield Unimodular.from_rows(u)
+
+
+KERNEL_GRAMS = (
+    [mixed_denominator_gram(rank, seed) for rank in range(1, 7) for seed in range(4)]
+    + [
+        # built directly, so the entries stay Python ints
+        GramMatrix(((4, -1, 2), (-1, 3, 0), (2, 0, 5))),
+        GramMatrix(((-7, 10**25), (10**25, 3))),
+        # ints and Fractions side by side
+        GramMatrix(((2, Fr(1, 7)), (Fr(1, 7), Fr(-5, MERSENNE_61)))),
+    ]
+)
+
+
+@pytest.mark.parametrize("index", range(len(KERNEL_GRAMS)))
+def test_apply_unimodular_matches_fraction_oracle(index):
+    gram = KERNEL_GRAMS[index]
+    for u in kernel_transforms(gram.n, index):
+        got = apply_unimodular(gram, u)
+        want = fraction_apply_unimodular(gram, u)
+        assert got.entries == want.entries
+        assert all(type(v) is Fraction for row in got.entries for v in row)
+
+
+def test_apply_unimodular_rejects_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        apply_unimodular(KERNEL_GRAMS[0], Unimodular.identity(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        apply_unimodular(mixed_denominator_gram(3, 0), Unimodular.identity(4))
+
+
+def vector_sequence(dim, seed):
+    """Integer vectors mixing fresh draws, the zero vector, exact multiples
+    and sums of earlier vectors, with some entries near 10^30."""
+    rng = random.Random(seed)
+    seq = []
+    for _ in range(3 * dim + 4):
+        kind = rng.randrange(6)
+        if kind == 0 or not seq:
+            vec = [0] * dim if rng.random() < 0.3 else [rng.randint(-3, 3) for _ in range(dim)]
+        elif kind == 1:
+            vec = [rng.choice((-(10**30), 10**30)) + rng.randint(-9, 9) for _ in range(dim)]
+        elif kind == 2:
+            q = rng.choice((-(10**30), -2, -1, 2, 3, 10**30))
+            vec = [q * v for v in rng.choice(seq)]
+        elif kind == 3:
+            a, b = rng.choice(seq), rng.choice(seq)
+            p, q = rng.randint(-4, 4), rng.randint(-4, 4)
+            vec = [p * x + q * y for x, y in zip(a, b)]
+        elif kind == 4:
+            vec = [0] * dim
+        else:
+            vec = [rng.randint(-5, 5) for _ in range(dim)]
+        seq.append(vec)
+    return seq
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_independence_test_matches_fraction_oracle(dim):
+    for seed in range(25):
+        seq = vector_sequence(dim, 100 * dim + seed)
+        rows, oracle_rows = [], []
+        got = [_independent_over_q(rows, v) for v in seq]
+        want = [fraction_independent_over_q(oracle_rows, v) for v in seq]
+        assert got == want, seed
+        assert len(rows) == len(oracle_rows) == sum(want)

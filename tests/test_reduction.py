@@ -238,7 +238,7 @@ def test_minima_extremal(extremal_plus):
 
 
 def test_minima_nondecreasing_and_witnesses_independent():
-    from hkzdefect.reduction import _independent_over_q
+    from conftest import fraction_independent_over_q
 
     for seed in range(15):
         g = random_gram(4, 900 + seed, 8)
@@ -248,7 +248,7 @@ def test_minima_nondecreasing_and_witnesses_independent():
         )
         rows = []
         for witness in result.witnesses:
-            assert _independent_over_q(rows, witness)
+            assert fraction_independent_over_q(rows, witness)
 
 
 def test_minima_rank_cap():
@@ -267,11 +267,11 @@ def _brute_force_minima(gram, box=5):
         if any(x):
             vecs.append((quadratic_form_value(gram, x), x))
     vecs.sort(key=lambda t: t[0])
-    from hkzdefect.reduction import _independent_over_q
+    from conftest import fraction_independent_over_q
 
     rows, got = [], []
     for norm, x in vecs:
-        if _independent_over_q(rows, x):
+        if fraction_independent_over_q(rows, x):
             got.append(norm)
             if len(got) == n:
                 break
