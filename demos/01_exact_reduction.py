@@ -47,6 +47,10 @@ print("\nHKZ of diag(4, 1) promotes the short generator:")
 print(format_gram_text(report.reduced).rstrip())
 print("svp calls:", report.svp_calls, " enumeration nodes:", report.total_nodes)
 print("certified:", is_hkz_reduced(report.reduced).ok)
+# The defect prod ||b_i||^2 / det(G) of the reduced basis comes with the
+# report: det(G) is unchanged by the unimodular transform, so the input's
+# factorization supplies it exactly.
+print("defect of the reduced basis:", report.defect)
 
 # The rank-3 worst case for the orthogonality defect; already HKZ reduced,
 # so reduction leaves it untouched.

@@ -71,7 +71,9 @@ def hermite_constant_power(n: int) -> Fraction:
     if n < 1:
         raise ValueError("rank must be positive")
     if n > MAX_HERMITE_RANK:
-        raise ValueError(f"Hermite constant unknown for rank {n} (known up to 8)")
+        raise ValueError(
+            f"Hermite constant unknown for rank {n} (known up to {MAX_HERMITE_RANK})"
+        )
     return _HERMITE_POWER[n]
 
 
@@ -93,7 +95,12 @@ def new_bound(n: int) -> Fraction:
     """
     if n < 4:
         raise ValueError("bound only defined for rank >= 4")
-    g = hermite_constant_power(n - 3)  # raises above n - 3 = 8
+    if n - 3 > MAX_HERMITE_RANK:
+        raise ValueError(
+            f"split bound unknown for rank {n}: needs gamma_{n - 3}^{n - 3},"
+            f" and Hermite constants are known up to rank {MAX_HERMITE_RANK}"
+        )
+    g = hermite_constant_power(n - 3)
     prod = Fraction(1)
     for i in range(4, n + 1):
         prod *= Fraction(6 * i + 29, 24)
@@ -142,10 +149,7 @@ class BoundTable:
 
 def bound_table(n_max: int) -> list[BoundTable]:
     """Rows for n = 1..n_max with every applicable bound, compared exactly."""
-    if n_max < 1:
-        raise ValueError("rank must be positive")
-    if n_max > MAX_HERMITE_RANK:
-        raise ValueError(f"Hermite constant unknown for rank {n_max} (known up to 8)")
+    hermite_constant_power(n_max)  # refuses n_max outside the table
     rows = []
     for n in range(1, n_max + 1):
         rows.append(

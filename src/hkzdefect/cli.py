@@ -86,7 +86,7 @@ def cmd_reduce(args) -> int:
     if gram is None:
         return code
     report = hkz_reduce(gram)
-    defect = orthogonality_defect(report.reduced)
+    defect = report.defect
     cert = is_hkz_reduced(report.reduced)
     if args.format == "json":
         payload = {
@@ -193,7 +193,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify_proof(args) -> int:
-    from . import proofcheck
     try:
         step = parse_rational(args.step)
     except ValueError:
@@ -209,6 +208,8 @@ def cmd_verify_proof(args) -> int:
     if (Fraction(1, 2) / step).denominator != 1:
         print("error: step must divide 1/2", file=sys.stderr)
         return EXIT_INVALID
+    from . import proofcheck  # loaded only for a step that passed the checks
+
     cases = proofcheck.ALL_CASES
     if args.case:
         if args.case not in proofcheck.ALL_CASES:

@@ -18,13 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import (
-    delta_exact,
-    hermite_constant_power,
-    lls_bound,
-    new_bound,
-    orthogonality_defect,
-)
+from .bounds import delta_exact, hermite_constant_power, lls_bound, new_bound
 from .core import (
     GramMatrix,
     NotPositiveDefiniteError,
@@ -119,7 +113,7 @@ def _trial_gram(cfg: ExperimentConfig, trial: int) -> GramMatrix:
 def _run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     gram = _trial_gram(cfg, trial)
     report = hkz_reduce(gram)
-    defect = orthogonality_defect(report.reduced)
+    defect = report.defect
     n = cfg.rank
     lls = lls_bound(n)
     newb = new_bound(n) if n >= 4 else None

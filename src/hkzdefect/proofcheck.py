@@ -433,14 +433,11 @@ def implied_k_l(
 ) -> tuple[Fraction, Fraction]:
     """The (k, l) values each case substitutes before taking the quadratic:
     k at its active endpoint, l at the binding lower bound."""
+    c_val, e_val = _envelope_pieces(_side_of(case_id), lam, mu, sigma)
     if case_id in (NEG_KMIN, POS_KMIN):
         k = 1 - lam * lam
-        gap = (1 - lam - mu) ** 2 if case_id == NEG_KMIN else (lam - mu) ** 2
-        factor = (1 + sigma) ** 2 if case_id == NEG_KMIN else (1 - sigma) ** 2
-        return k, 1 - gap - k * factor
-    gap = (1 - lam - mu) ** 2 if case_id == NEG_KMAX else (lam - mu) ** 2
-    denom = 2 * (1 + sigma) if case_id == NEG_KMAX else 2 * (1 - sigma)
-    k = (1 - gap) / denom
+        return k, c_val - k * e_val
+    k = c_val / (2 * (1 + sigma) if case_id == NEG_KMAX else 2 * (1 - sigma))
     return k, k * (1 - sigma**2)
 
 
@@ -683,12 +680,8 @@ def envelope_second_difference(
 
 
 def _envelope_value_float(side, lam, mu, sigma, k) -> float:
-    if side == "NEG":
-        c_val = 1.0 - (1.0 - lam - mu) ** 2
-        e_val = (1.0 + sigma) ** 2
-    else:
-        c_val = 1.0 - (lam - mu) ** 2
-        e_val = (1.0 - sigma) ** 2
+    # int - float is the IEEE float subtraction, so (C, E) match 1.0 - x
+    c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
     n_val = c_val - k * e_val
     return (1.0 + lam * lam / k) * (1.0 + (mu * mu + k * sigma * sigma) / n_val)
 
@@ -857,10 +850,7 @@ def convexity_scan(
         # so each float_check is bit for bit the float second difference;
         # int / int division rounds k and h correctly
         lam_f, mu_f, sigma_f = i / big_l, j / big_l, s / big_s
-        if side == "NEG":
-            c_f, e_f = 1.0 - (1.0 - lam_f - mu_f) ** 2, (1.0 + sigma_f) ** 2
-        else:
-            c_f, e_f = 1.0 - (lam_f - mu_f) ** 2, (1.0 - sigma_f) ** 2
+        c_f, e_f = _envelope_pieces(side, lam_f, mu_f, sigma_f)
         lam2, mu2 = lam_f * lam_f, mu_f * mu_f
         h_float = k_num / (4 * k_den)
         shown = ()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .core import (
     GramMatrix,
@@ -34,10 +35,14 @@ class ShortestVectorResult:
 
 @dataclass(frozen=True)
 class ReductionReport:
+    """U G U^T, the transform U, the work done, and the defect of U G U^T,
+    exact from det(G) alone: det(U G U^T) = det(U)^2 det(G) = det(G)."""
+
     reduced: GramMatrix
     transform: Unimodular
     svp_calls: int
     total_nodes: int
+    defect: Fraction
 
 
 @dataclass(frozen=True)
@@ -254,12 +259,16 @@ def hkz_reduce(gram: GramMatrix) -> ReductionReport:
     the current basis are carried through the levels.  The Gram matrix is
     rebuilt and factored only at a level whose shortest vector is not already
     b_i, and once more at the end.
+
+    The defect divides by det(G) from the entry factorization, before any
+    level runs; `Unimodular.from_rows` proves det(U) = +-1 before it is used.
     """
     n = gram.n
     rows = int_identity(n)
     gso = ldl(gram)
     mu = [list(row) for row in gso.mu]
     bstar = gso.bstar
+    det = prod(bstar)
     svp_calls = 0
     total_nodes = 0
     for level in range(n):
@@ -290,8 +299,9 @@ def hkz_reduce(gram: GramMatrix) -> ReductionReport:
     transform = Unimodular.from_rows(
         [[signs[i] * v for v in row] for i, row in enumerate(rows)]
     )
+    reduced = apply_unimodular(gram, transform)
     return ReductionReport(
-        apply_unimodular(gram, transform), transform, svp_calls, total_nodes
+        reduced, transform, svp_calls, total_nodes, prod(reduced.diagonal()) / det
     )
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -40,6 +41,20 @@ def fraction_independent_over_q(rows, candidate) -> bool:
         rows.append(vec)
         return True
     return False
+
+
+def patch_everywhere(monkeypatch, original, replacement) -> int:
+    """Rebind `original` to `replacement` in every loaded hkzdefect module
+    that holds it; returns the number of binding sites."""
+    sites = 0
+    for name, module in list(sys.modules.items()):
+        if name != "hkzdefect" and not name.startswith("hkzdefect."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+                sites += 1
+    return sites
 
 
 def bounded_gram(rank: int, seed: int, bound: int = 10) -> GramMatrix:

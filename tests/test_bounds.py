@@ -18,7 +18,8 @@ from hkzdefect import (
     new_bound,
     orthogonality_defect,
 )
-from hkzdefect.bounds import decimal_str
+from hkzdefect import bounds
+from hkzdefect.bounds import MAX_HERMITE_RANK, decimal_str
 from hkzdefect.experiments import random_gram
 
 
@@ -103,6 +104,28 @@ def test_new_bound_values():
         new_bound(3)
     with pytest.raises(ValueError, match="unknown"):
         new_bound(12)  # would need gamma_9
+
+
+def test_new_bound_names_its_rank_and_the_constant_it_needs():
+    assert new_bound(11) > 0  # gamma_8 is the last known constant
+    with pytest.raises(ValueError) as info:
+        new_bound(12)
+    message = str(info.value)
+    assert message == (
+        "split bound unknown for rank 12: needs gamma_9^9,"
+        f" and Hermite constants are known up to rank {MAX_HERMITE_RANK}"
+    )
+    assert "rank 9" not in message
+
+
+def test_hermite_messages_follow_the_table(monkeypatch):
+    monkeypatch.setattr(bounds, "MAX_HERMITE_RANK", 7)
+    with pytest.raises(ValueError, match=r"rank 8 \(known up to 7\)"):
+        hermite_constant_power(8)
+    with pytest.raises(ValueError, match=r"rank 8 \(known up to 7\)"):
+        bound_table(8)
+    with pytest.raises(ValueError, match="rank 11: needs gamma_8\\^8.* up to rank 7"):
+        new_bound(11)
 
 
 def test_new_bound_sharper_up_to_rank_8():

@@ -1,10 +1,14 @@
 import json
+import sys
 import time
 from fractions import Fraction as Fr
 
 import pytest
 
-from hkzdefect import cli, format_gram_text
+import hkzdefect
+from hkzdefect import bounds, cli, core, format_gram_text, reduction
+
+from conftest import patch_everywhere
 
 
 EXTREMAL_TEXT = "3\n1 1/2 1/2\n1/2 5/4 3/4\n1/2 3/4 5/4\n"
@@ -34,6 +38,44 @@ def test_reduce_diagonal_swap(tmp_path, capsys):
     assert payload["reduced"] == [["1", "0"], ["0", "4"]]
     assert payload["hkz_certified"] is True
     assert payload["already_reduced"] is False
+
+
+def test_reduce_factors_the_reduced_gram_once(tmp_path, monkeypatch, capsys):
+    # after hkz_reduce returns, the one factorization is the certificate's;
+    # the defect comes with the report, so no determinant is taken
+    path = tmp_path / "skewed.gram"
+    path.write_text("3\n14 9 -13\n9 9 -5\n-13 -5 19\n")
+    events = []
+    ldl, hkz = core.ldl, reduction.hkz_reduce
+
+    def counting_ldl(gram):
+        events.append(("ldl", gram))
+        return ldl(gram)
+
+    def recording_hkz(gram):
+        report = hkz(gram)
+        events.append(("hkz_reduce", report.reduced))
+        return report
+
+    def no_determinant(*args):
+        raise AssertionError("reduce took a determinant of its own")
+
+    assert patch_everywhere(monkeypatch, ldl, counting_ldl) >= 2
+    patch_everywhere(monkeypatch, hkz, recording_hkz)
+    patch_everywhere(monkeypatch, core.determinant, no_determinant)
+    patch_everywhere(monkeypatch, bounds.orthogonality_defect, no_determinant)
+    assert cli.main(["reduce", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    done = [kind for kind, _ in events].index("hkz_reduce")
+    reduced = events[done][1]
+    assert payload["already_reduced"] is False
+    assert [[Fr(v) for v in row] for row in payload["reduced"]] == [
+        list(row) for row in reduced.entries
+    ]
+    assert events[done + 1 :] == [("ldl", reduced)]
+    assert payload["hkz_certified"] is True
+    monkeypatch.undo()
+    assert Fr(payload["defect"]) == bounds.orthogonality_defect(reduced)
 
 
 def test_reduce_empty_file(tmp_path, capsys):
@@ -212,6 +254,20 @@ def test_verify_proof_rejects_fine_step(monkeypatch, capsys):
     assert cli.main(["verify-proof", "--step", "1/1002"]) == 3
     assert cli.main(["verify-proof", "--step", "1/1000000"]) == 3
     assert "1/1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "step, code", [("0.5", 2), ("nonsense", 2), ("0", 3), ("1/51", 3), ("1/1002", 3)]
+)
+def test_verify_proof_checks_the_step_before_loading_proofcheck(
+    monkeypatch, capsys, step, code
+):
+    monkeypatch.delitem(sys.modules, "hkzdefect.proofcheck", raising=False)
+    monkeypatch.delattr(hkzdefect, "proofcheck", raising=False)
+    assert cli.main(["verify-proof", "--step", step]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert "hkzdefect.proofcheck" not in sys.modules
+    assert "proofcheck" not in vars(hkzdefect)
 
 
 def test_verify_proof_rejects_unknown_case(capsys):

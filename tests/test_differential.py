@@ -15,6 +15,12 @@ not draw: large and mixed denominators, integer entries, huge vectors.
 `_Enumerator` is the enumeration class the library used before its one
 `_enumerate` function; kept unchanged here, it is the oracle for that
 function's radius, vectors and node counts.
+
+`hkz_reduce` rebuilds and factors U G U^T only at a level that moves a
+vector; everywhere else it trusts the GSO data it carried.  The carried-GSO
+test checks that data at every level against a fresh factorization of the
+Fraction oracle's U G U^T, and the defect test checks the defect taken from
+the entry factorization against `orthogonality_defect` of the output.
 """
 
 import random
@@ -31,11 +37,13 @@ from hkzdefect import (
     check_propositions,
     hkz_reduce,
     ldl,
+    orthogonality_defect,
     projected_gram,
     shortest_vector,
     size_reduce,
     successive_minima,
 )
+from hkzdefect import reduction
 from hkzdefect.experiments import random_gram
 from hkzdefect.reduction import (
     _basis_norms,
@@ -46,7 +54,11 @@ from hkzdefect.reduction import (
     complete_primitive_row,
 )
 
-from conftest import fraction_apply_unimodular, fraction_independent_over_q
+from conftest import (
+    bounded_gram,
+    fraction_apply_unimodular,
+    fraction_independent_over_q,
+)
 
 
 def _mat_mul(a, b):
@@ -126,6 +138,82 @@ def test_hkz_reduce_matches_step_by_step_reference(index):
     assert report.transform == transform
     assert report.svp_calls == svp_calls
     assert report.total_nodes == total_nodes
+
+
+@pytest.mark.parametrize("index", range(len(ENSEMBLE)))
+def test_carried_gso_matches_a_fresh_factorization(monkeypatch, index):
+    gram = ENSEMBLE[index]
+    n = gram.n
+    shortest, reduce_sizes = reduction._shortest_from_gso, reduction._size_reduce
+    rows_now = [[int(i == j) for j in range(n)] for i in range(n)]
+    levels, size_reductions = [], []
+
+    def fresh(rows):
+        return ldl(fraction_apply_unimodular(gram, Unimodular(tuple(map(tuple, rows)))))
+
+    def checked_shortest(sub_mu, tail_bstar):
+        # level l enumerates the carried tail block of the current basis
+        level = n - len(tail_bstar)
+        want = fresh(rows_now)
+        assert tuple(tail_bstar) == want.bstar[level:]
+        assert tuple(map(tuple, sub_mu)) == tuple(
+            want.mu[i][level:i] for i in range(level, n)
+        )
+        levels.append(level)
+        return shortest(sub_mu, tail_bstar)
+
+    def checked_size_reduce(mu, rows):
+        assert tuple(map(tuple, mu)) == fresh(rows).mu
+        reduce_sizes(mu, rows)
+        assert tuple(map(tuple, mu)) == fresh(rows).mu
+        rows_now[:] = [list(row) for row in rows]
+        size_reductions.append(len(levels))
+
+    monkeypatch.setattr(reduction, "_shortest_from_gso", checked_shortest)
+    monkeypatch.setattr(reduction, "_size_reduce", checked_size_reduce)
+    report = hkz_reduce(gram)
+    assert levels == list(range(n))
+    assert size_reductions == list(range(1, n + 1))
+    # the output differs from the last carried basis only by row signs
+    for row, final in zip(rows_now, report.transform.entries):
+        assert list(final) in (row, [-v for v in row])
+
+
+DEFECT_GRAMS = (
+    [random_gram(rank, seed) for rank in range(1, 7) for seed in range(4)]
+    + [bounded_gram(rank, seed) for rank in range(1, 6) for seed in range(3)]
+    + [scrambled_rational_gram(rank, seed) for rank in range(2, 6) for seed in range(3)]
+    + [SIGN_CASCADE]
+)
+
+
+def _assert_report_defect_exact(gram):
+    report = hkz_reduce(gram)
+    want = orthogonality_defect(report.reduced)
+    assert type(report.defect) is Fraction
+    assert (report.defect.numerator, report.defect.denominator) == (
+        want.numerator,
+        want.denominator,
+    )
+    return report.defect
+
+
+@pytest.mark.parametrize("index", range(len(DEFECT_GRAMS)))
+def test_report_defect_matches_orthogonality_defect(index):
+    _assert_report_defect_exact(DEFECT_GRAMS[index])
+
+
+@pytest.mark.parametrize(
+    "name, defect",
+    [
+        ("identity3", Fr(1)),
+        ("hexagonal", Fr(4, 3)),
+        ("extremal_plus", Fr(25, 12)),
+        ("extremal_minus", Fr(25, 12)),
+    ],
+)
+def test_report_defect_on_the_fixture_forms(request, name, defect):
+    assert _assert_report_defect_exact(request.getfixturevalue(name)) == defect
 
 
 def _certified_variants(gram):

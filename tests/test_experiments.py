@@ -15,8 +15,10 @@ from hkzdefect import (
     run_experiment,
     summary_json,
 )
-from hkzdefect import experiments, reduction
+from hkzdefect import bounds, core, experiments, reduction
 from hkzdefect.experiments import _A2_GRAM, _trial_gram
+
+from conftest import patch_everywhere
 
 
 def test_random_gram_deterministic():
@@ -101,7 +103,13 @@ def test_run_experiment_rank4_chain_and_bounds():
 
 def test_each_trial_certified_once(monkeypatch):
     # one certificate for the basis and one for its leading block, one
-    # full-rank minima enumeration and one factorization, per trial
+    # full-rank minima enumeration and one factorization, per trial; the
+    # defect comes with the reduction, so no determinant is taken
+    def no_determinant(*args):
+        raise AssertionError("a trial took a determinant of its own")
+
+    assert patch_everywhere(monkeypatch, core.determinant, no_determinant) >= 1
+    assert patch_everywhere(monkeypatch, bounds.orthogonality_defect, no_determinant) >= 1
     certify, minima = reduction._certify, reduction._minima_from_gso
     factor, chain = reduction.ldl, experiments.check_defect_chain
     calls = {"certified": 0, "full_minima": 0, "ldl": 0}

@@ -69,6 +69,9 @@ def test_every_minimum_is_two(name):
 
 @pytest.mark.parametrize("name", sorted(DYNKIN))
 def test_hkz_defect_attains_gamma_pow(name):
-    reduced = hkz_reduce(cartan_gram(name)).reduced
-    assert is_hkz_reduced(reduced)
-    assert orthogonality_defect(reduced) == GAMMA_POW[name]
+    report = hkz_reduce(cartan_gram(name))
+    assert is_hkz_reduced(report.reduced)
+    assert orthogonality_defect(report.reduced) == GAMMA_POW[name]
+    # the report's defect comes from the input's factorization, not the output's
+    assert report.defect == GAMMA_POW[name]
+    assert type(report.defect) is Fr
