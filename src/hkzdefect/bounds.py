@@ -19,7 +19,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .core import GramMatrix, determinant, format_rat
-from .reduction import shortest_vector
+from .reduction import MAX_MINIMA_RANK, shortest_vector
 
 # gamma_n^n for n = 1..8: the classically known exact values (Lagrange, Gauss,
 # Korkine-Zolotarev, Blichfeldt, Cohn-Kumar).  No closed form is known beyond
@@ -57,11 +57,14 @@ def hermite_invariant_power(gram: GramMatrix) -> Fraction:
     """(lambda_1^2)^n / det(G), the n-th power of the Hermite invariant.
 
     Exposed as the n-th power so the value stays rational (the invariant itself
-    involves an n-th root).  Needs an exact shortest vector, hence rank <= 6.
+    involves an n-th root).  Needs an exact shortest vector, hence rank at
+    most `reduction.MAX_MINIMA_RANK`.
     """
     n = gram.n
-    if n > 6:
-        raise ValueError("hermite invariant needs rank <= 6 (exact SVP)")
+    if n > MAX_MINIMA_RANK:
+        raise ValueError(
+            f"hermite invariant needs rank <= {MAX_MINIMA_RANK} (exact SVP)"
+        )
     lam1 = shortest_vector(gram).norm_sq
     return lam1**n / determinant(gram)
 

@@ -25,9 +25,7 @@ from .core import (
     format_rat,
     ldl,
 )
-from .reduction import check_defect_chain, hkz_reduce
-
-MAX_EXPERIMENT_RANK = 6
+from .reduction import MAX_MINIMA_RANK, check_defect_chain, hkz_reduce
 
 # seeded references inserted as trial 0 at small ranks: the hexagonal Gram at
 # rank 2 and the extremal form at rank 3 realize the exact maximal defects
@@ -52,8 +50,9 @@ class ExperimentConfig:
     entry_bound: int = 10
 
     def validate(self) -> "ExperimentConfig":
-        if not 2 <= self.rank <= MAX_EXPERIMENT_RANK:
-            raise ValueError(f"rank must be in 2..{MAX_EXPERIMENT_RANK}")
+        # every trial of rank >= 4 runs the chain check, which enumerates minima
+        if not 2 <= self.rank <= MAX_MINIMA_RANK:
+            raise ValueError(f"rank must be in 2..{MAX_MINIMA_RANK}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.entry_bound < 1:

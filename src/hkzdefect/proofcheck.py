@@ -11,9 +11,12 @@ with lambda, mu in [0, 1/2] and sigma in [-1/2, 1/2].  After disposing of
 sign of sigma, replaces l by its minimum, and uses convexity in k to push k to
 an endpoint; each of the four (sign, endpoint) combinations turns the claim
 "defect >= 25/12" into a quadratic inequality Q(sigma) >= 0 whose coefficients
-are polynomials in (lambda, mu).  This module verifies, in exact rational
-arithmetic, that Q(sigma) <= 0 on every grid point of each case region, with
-equality only at the documented extremal points.
+are polynomials in (lambda, mu).  Each quadratic is written once, as integer
+coefficients at lambda = i/q, mu = j/q scaled by 12 q^4
+(`scaled_case_coefficients`); `case_quadratic` divides them back into
+rationals.  This module verifies, in exact rational arithmetic, that
+Q(sigma) <= 0 on every grid point of each case region, with equality only at
+the documented extremal points.
 
 Grid scanning is an exact check at grid points, not an interval-arithmetic
 proof over the continuum between them; reports carry that caveat.
@@ -235,10 +238,15 @@ class QuadraticCase:
         return (min(r1, r2), max(r1, r2))
 
 
+def _side_of(case_id: str) -> str:
+    """The sign of sigma in the case, "NEG" or "POS"; refuses unknown ids."""
+    if case_id not in ALL_CASES:
+        raise ValueError(f"unknown case {case_id!r}")
+    return case_id[:3]
+
+
 def sigma_interval(case_id: str) -> tuple[Fraction, Fraction]:
-    if case_id.startswith("NEG"):
-        return (-HALF, -THIRD)
-    return (THIRD, HALF)
+    return (-HALF, -THIRD) if _side_of(case_id) == "NEG" else (THIRD, HALF)
 
 
 def case_region_contains(case_id: str, lam: Fraction, mu: Fraction) -> bool:
@@ -270,114 +278,37 @@ def _region_contains_scaled(case_id: str, i: int, j: int, q: int) -> bool:
 
 
 def case_quadratic(case_id: str, lam: Fraction, mu: Fraction) -> QuadraticCase:
-    """The case's quadratic with exact coefficients, as displayed in the
-    analysis; raises for (lambda, mu) outside the case region."""
+    """The case's quadratic with exact coefficients (`scaled_case_coefficients`
+    at the lcm q of the denominators, over 12 q^4); raises for (lambda, mu)
+    outside the case region."""
     lam, mu = Fraction(lam), Fraction(mu)
     if not case_region_contains(case_id, lam, mu):
         raise ValueError(f"({lam}, {mu}) outside the {case_id} region")
-    if case_id in (NEG_KMIN, POS_KMIN):
-        big_a = 1 - lam * lam
-        a = Fraction(25, 12) * big_a**2
-        if case_id == NEG_KMIN:
-            b = -2 * big_a + Fraction(25, 6) * big_a**2
-            gap = (1 - lam - mu) ** 2
-        else:
-            b = 2 * big_a - Fraction(25, 6) * big_a**2
-            gap = (lam - mu) ** 2
-        c = (
-            1
-            - gap
-            - Fraction(37, 12) * big_a
-            + mu * mu
-            + Fraction(25, 12) * big_a * gap
-            + Fraction(25, 12) * big_a**2
-        )
-        return QuadraticCase(case_id, a, b, c)
-    if case_id == NEG_KMAX:
-        a = (
-            25 * lam**4
-            + 100 * lam**3 * mu
-            + 198 * lam**2 * mu**2
-            + 100 * lam * mu**3
-            + 25 * mu**4
-            - 100 * lam**3
-            - 300 * lam**2 * mu
-            - 300 * lam * mu**2
-            - 100 * mu**3
-            + 100 * lam**2
-            + 200 * lam * mu
-            + 100 * mu**2
-        ) / 12
-        b = -2 * (
-            lam**4
-            + 2 * lam**3 * mu
-            - 2 * lam**2 * mu**2
-            + 2 * lam * mu**3
-            + mu**4
-            - 2 * lam**3
-            - 2 * lam**2 * mu
-            - 2 * lam * mu**2
-            - 2 * mu**3
-        )
-        c = (
-            -Fraction(37, 12) * lam**4
-            - Fraction(25, 3) * lam**3 * mu
-            - Fraction(13, 2) * lam**2 * mu**2
-            - Fraction(25, 3) * lam * mu**3
-            - Fraction(37, 12) * mu**4
-            + Fraction(25, 3) * lam**3
-            + 17 * lam**2 * mu
-            + 17 * lam * mu**2
-            + Fraction(25, 3) * mu**3
-            - Fraction(13, 3) * lam**2
-            - Fraction(26, 3) * lam * mu
-            - Fraction(13, 3) * mu**2
-        )
-        return QuadraticCase(case_id, a, b, c)
-    # POS_KMAX
-    a = (
-        25 * lam**4
-        - 100 * lam**3 * mu
-        + 198 * lam**2 * mu**2
-        - 100 * lam * mu**3
-        + 25 * mu**4
-        - 50 * lam**2
-        + 100 * lam * mu
-        - 50 * mu**2
-        + 25
-    ) / 12
-    b = 2 * (
-        lam**4
-        - 2 * lam**3 * mu
-        - 2 * lam**2 * mu**2
-        - 2 * lam * mu**3
-        + mu**4
-        - lam**2
-        - mu**2
-    )
-    c = (
-        -Fraction(37, 12) * lam**4
-        + Fraction(25, 3) * lam**3 * mu
-        - Fraction(13, 2) * lam**2 * mu**2
-        + Fraction(25, 3) * lam * mu**3
-        - Fraction(37, 12) * mu**4
-        + Fraction(25, 6) * lam**2
-        - Fraction(13, 3) * lam * mu
-        + Fraction(25, 6) * mu**2
-        - Fraction(13, 12)
-    )
-    return QuadraticCase(case_id, a, b, c)
+    q = math.lcm(lam.denominator, mu.denominator)
+    return _quadratic_scaled(case_id, int(lam * q), int(mu * q), q)
+
+
+def _quadratic_scaled(case_id: str, i: int, j: int, q: int) -> QuadraticCase:
+    """The case's quadratic at lambda = i/q, mu = j/q; no region check."""
+    scale = 12 * q**4
+    coeffs = scaled_case_coefficients(case_id, i, j, q)
+    return QuadraticCase(case_id, *(Fraction(x, scale) for x in coeffs))
 
 
 def scaled_case_coefficients(
     case_id: str, i: int, j: int, q: int
 ) -> tuple[int, int, int]:
-    """12 q^4 (a, b, c) of `case_quadratic` at lambda = i/q, mu = j/q.
+    """12 q^4 (a, b, c) at lambda = i/q, mu = j/q, where the case's quadratic
+    Q(sigma) = a sigma^2 + b sigma + c is defined by
 
-    Each display has degree <= 4 in (lambda, mu), so the scaled coefficients
-    are integer polynomials in (i, j, q), expanded from the displays above
-    (the tests compare the two at every grid point of step 1/100).  The
-    region is not checked here.
+        Q(sigma) = (delta - 25/12) w,
+
+    delta the defect (`defect_from_parameters`) at the case's (k, l)
+    (`implied_k_l`) and w > 0 a weight: w = (1 - lambda^2) l in the k-minimal
+    cases and w = C^2 (1 - sigma^2) in the k-maximal ones, with C from
+    `_envelope_pieces`.  So Q(sigma) <= 0 exactly when delta <= 25/12.  The
+    coefficients have degree <= 4 in (lambda, mu), so the scaled ones are
+    integer polynomials in (i, j, q).  The region is not checked here.
     """
     q2 = q * q
     if case_id in (NEG_KMIN, POS_KMIN):
@@ -467,6 +398,8 @@ class CaseScanReport:
 def grid_points(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
     """Multiples of `step` inside [lo, hi], with both endpoints included
     exactly even when they are not multiples."""
+    if step <= 0:
+        raise ValueError(f"grid step must be positive, got {step}")
     first = math.ceil(lo / step)
     vals = []
     i = first
@@ -521,12 +454,10 @@ def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanR
     grid_step = Fraction(grid_step)
     if grid_step <= 0 or (HALF / grid_step).denominator != 1:
         raise ValueError("grid step must be positive and divide 1/2")
-    if case_id not in ALL_CASES:
-        raise ValueError(f"unknown case {case_id!r}")
+    lo, hi = sigma_interval(case_id)
     started = time.perf_counter()
     q = grid_step.denominator  # a step dividing 1/2 is 1/q with q even
     den = math.lcm(q, 3)
-    lo, hi = sigma_interval(case_id)
     s_values = [int(sigma * den) for sigma in grid_points(lo, hi, grid_step)]
     checked = 0
     best: int | None = None
@@ -563,27 +494,21 @@ def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanR
         k, l = implied_k_l(case_id, lam, mu, sigma)
         return CasePoint(lam, mu, sigma, k, l)
 
-    peak = to_point(argmax)
-    roots = case_quadratic(case_id, peak.lam, peak.mu).roots_float()
     return CaseScanReport(
         case_id=case_id,
         grid_step=grid_step,
         points_checked=checked,
         max_value=Fraction(best, 12 * q**4 * den * den),
-        argmax=peak,
+        argmax=to_point(argmax),
         equality_points=tuple(to_point(t) for t in equalities),
         violations=tuple(to_point(t) for t in violations),
-        argmax_roots_float=roots,
+        argmax_roots_float=_quadratic_scaled(case_id, *argmax[:2], q).roots_float(),
         wall_time=time.perf_counter() - started,
     )
 
 
 # ---------------------------------------------------------------------------
 # convexity in k of the defect envelope
-
-
-def _side_of(case_id: str) -> str:
-    return "NEG" if case_id.startswith("NEG") else "POS"
 
 
 def _envelope_pieces(side: str, lam: Fraction, mu: Fraction, sigma: Fraction):
@@ -799,11 +724,9 @@ def convexity_scan(
     for the scan's minima and reported samples.  The displays are evaluated
     on `ScaledRational`s over D = lcm(L, S, k_den), with k = k_num t/k_den.
     """
-    if case_id not in ALL_CASES:
-        raise ValueError(f"unknown case {case_id!r}")
+    side = _side_of(case_id)
     if per_axis < 2:
         raise ValueError(f"per_axis must be at least 2, got {per_axis}")
-    side = _side_of(case_id)
     big_l, big_s, parts = 2 * (per_axis - 1), 6 * (per_axis - 1), per_axis + 1
     big_m = 8 * parts
     first_s = int(sigma_interval(case_id)[0] * big_s)

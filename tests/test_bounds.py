@@ -118,6 +118,19 @@ def test_new_bound_names_its_rank_and_the_constant_it_needs():
     assert "rank 9" not in message
 
 
+def test_hermite_invariant_refuses_ranks_above_the_minima_cap(monkeypatch):
+    def eye(n):
+        return GramMatrix.from_rows([[int(r == c) for c in range(n)] for r in range(n)])
+
+    with pytest.raises(ValueError, match=r"rank <= 6 \(exact SVP\)"):
+        hermite_invariant_power(eye(7))
+    assert hermite_invariant_power(eye(6)) == 1
+    # the cap is the enumeration's own, not a second constant
+    monkeypatch.setattr(bounds, "MAX_MINIMA_RANK", 5)
+    with pytest.raises(ValueError, match=r"rank <= 5 \(exact SVP\)"):
+        hermite_invariant_power(eye(6))
+
+
 def test_hermite_messages_follow_the_table(monkeypatch):
     monkeypatch.setattr(bounds, "MAX_HERMITE_RANK", 7)
     with pytest.raises(ValueError, match=r"rank 8 \(known up to 7\)"):

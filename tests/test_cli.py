@@ -345,7 +345,15 @@ def test_experiment_writes_csv(tmp_path, capsys):
 
 
 def test_experiment_rejects_bad_rank(capsys):
-    assert cli.main(["experiment", "--rank", "9", "--trials", "2"]) == 3
+    # rank >= 4 trials run the chain check, which enumerates minima, so the
+    # experiment reads that enumeration's cap instead of keeping its own
+    from hkzdefect import experiments
+
+    assert not hasattr(experiments, "MAX_EXPERIMENT_RANK")
+    assert reduction.MAX_MINIMA_RANK == 6
+    for rank in ("1", "7", "9"):
+        assert cli.main(["experiment", "--rank", rank, "--trials", "2"]) == 3
+        assert capsys.readouterr().err == "error: rank must be in 2..6\n"
 
 
 def test_cli_deterministic(extremal_file, capsys):

@@ -6,9 +6,13 @@ evaluated exactly at every grid point of each row, and `convexity_numerator`
 with `envelope_second_difference` and `envelope_second_difference_float` at
 every sample.  The library scans bound each row by its exact maximum and
 share one integer weight table per convexity scan instead, so every field of
-both reports must agree exactly, apart from `wall_time`.  `rational_convexity`
-is the previous library `convexity_scan`, which built each triple's
-polynomials from `Fraction`s, kept as a second oracle.
+both reports must agree exactly, apart from `wall_time`.  `case_quadratic`
+reads the same integer coefficients the scan evaluates, so `reference_scan`
+checks the scan itself (row maxima, region, ties), and
+`test_case_coefficients_satisfy_the_defining_identity` checks the
+coefficients against the defect formula.  `rational_convexity` is the
+previous library `convexity_scan`, which built each triple's polynomials from
+`Fraction`s, kept as a second oracle.
 """
 
 import dataclasses
@@ -31,6 +35,7 @@ from hkzdefect.proofcheck import (
     case_region_contains,
     convexity_numerator,
     convexity_scan,
+    defect_from_parameters,
     envelope_second_difference,
     envelope_second_difference_float,
     grid_points,
@@ -232,8 +237,13 @@ def test_convexity_scan_matches_fraction_scan(case_id, per_axis):
 
 
 @pytest.mark.parametrize("case_id", ALL_CASES)
-def test_scaled_coefficients_match_displays(case_id):
-    q = 100
+@pytest.mark.parametrize("q", [100, 21, 35])
+def test_case_coefficients_satisfy_the_defining_identity(case_id, q):
+    # Q(sigma) = (delta - 25/12) w with delta the defect at the case's (k, l)
+    # and w = (1 - lambda^2) l (k-minimal) or C^2 (1 - sigma^2) (k-maximal);
+    # three sigma per point pin down all three coefficients of the quadratic
+    side = case_id[:3]
+    lo, hi = sigma_interval(case_id)
     scale = 12 * q**4
     inside = 0
     for i in range(q // 2 + 1):
@@ -241,9 +251,17 @@ def test_scaled_coefficients_match_displays(case_id):
             lam, mu = Fr(i, q), Fr(j, q)
             if not reference_region(case_id, lam, mu):
                 continue
-            quad = case_quadratic(case_id, lam, mu)
-            expected = (quad.a * scale, quad.b * scale, quad.c * scale)
-            assert scaled_case_coefficients(case_id, i, j, q) == expected
+            a, b, c = scaled_case_coefficients(case_id, i, j, q)
+            for sigma in (lo, (lo + hi) / 2, hi):
+                k, l = implied_k_l(case_id, lam, mu, sigma)
+                delta = defect_from_parameters(CasePoint(lam, mu, sigma, k, l))
+                if case_id.endswith("KMIN"):
+                    weight = (1 - lam * lam) * l
+                else:
+                    big_c, _e = proofcheck._envelope_pieces(side, lam, mu, sigma)
+                    weight = big_c * big_c * (1 - sigma * sigma)
+                assert weight > 0
+                assert (a * sigma + b) * sigma + c == scale * (delta - Fr(25, 12)) * weight
             inside += 1
     assert inside > 0
 

@@ -236,6 +236,30 @@ def test_grid_points_includes_exact_endpoints():
     assert all(pts[i] < pts[i + 1] for i in range(len(pts) - 1))
 
 
+@pytest.mark.parametrize("step", [Fr(0), Fr(-1, 100)], ids=["zero", "negative"])
+def test_grid_points_refuses_a_nonpositive_step(step):
+    # a negative step would walk away from hi forever, and 0 divides by zero
+    with pytest.raises(ValueError, match="grid step must be positive"):
+        grid_points(Fr(1, 3), HALF, step)
+
+
+@pytest.mark.parametrize("case_id", ["BOGUS", "NEG", "neg_kmin"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda case_id: implied_k_l(case_id, Fr(1, 4), Fr(1, 4), Fr(1, 4)),
+        lambda case_id: sigma_interval(case_id),
+        lambda case_id: case_quadratic(case_id, Fr(1, 4), Fr(1, 4)),
+        lambda case_id: scan_case(case_id, Fr(1, 50)),
+        lambda case_id: convexity_scan(case_id, 3),
+    ],
+    ids=["implied_k_l", "sigma_interval", "case_quadratic", "scan_case", "convexity_scan"],
+)
+def test_unknown_case_ids_are_refused(case_id, call):
+    with pytest.raises(ValueError, match=f"^unknown case {case_id!r}$"):
+        call(case_id)
+
+
 def test_scan_step_validation():
     with pytest.raises(ValueError, match="divide"):
         scan_case(NEG_KMAX, Fr(1, 3))
