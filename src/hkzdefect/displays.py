@@ -1,72 +1,85 @@
-"""The expanded convexity-numerator displays, and an exact number type to
-evaluate them on.
+"""The expanded convexity-numerator displays, and an exact polynomial type to
+compare them on.
 
 The four `numerator_display_*` functions are verbatim transcriptions of the two
 expanded numerator displays of the convexity argument and their regrouped
 variants, kept for comparison against the recomputed numerator
 (`proofcheck.convexity_numerator`); mismatches are reported, never silently
-corrected.  They take any numbers closed under +, - and * with ints:
-`Fraction`s, or `ScaledRational`s over one shared denominator, which
-`proofcheck.convexity_scan` uses to evaluate them without a gcd.
+corrected.  They take `Fraction`s, or the variables of a `Poly`, on which
+`proofcheck.convexity_scan` compares them with the recomputed numerator as
+polynomial identities.
 """
 
 from __future__ import annotations
 
 
-class ScaledRational:
-    """The rational p / d**e, for a positive integer d that every operand shares.
+class Poly:
+    """A polynomial with integer coefficients.
 
-    A sum lifts the operand of smaller exponent by a power of d, and a product
-    adds exponents; nothing is reduced, so no gcd is ever taken.  An int mixes
-    in as exponent 0.  Operands over different d give wrong results, unchecked.
-    Equality with an int or a `Fraction` is one cross-multiplication.
+    `terms` maps each monomial, the sorted tuple of its variables' indices
+    with repetition (x0^2 x3 is (0, 0, 3)), to its nonzero coefficient, so
+    two polynomials are equal exactly when their term dicts are.  An int
+    mixes in as the constant monomial ().
     """
 
-    __slots__ = ("p", "e", "d")
+    __slots__ = ("terms",)
 
-    def __init__(self, p: int, e: int, d: int):
-        self.p, self.e, self.d = p, e, d
+    def __init__(self, terms: dict[tuple[int, ...], int]):
+        self.terms = {e: c for e, c in terms.items() if c}
 
-    def _lifted(self, other) -> tuple[int, int, int]:
-        """(p, r, e) with self = p/d^e and other = r/d^e."""
-        if isinstance(other, ScaledRational):
-            r, f = other.p, other.e
-        else:
-            r, f = other, 0
-        e = self.e
-        if f < e:
-            return self.p, r * self.d ** (e - f), e
-        if f > e:
-            return self.p * self.d ** (f - e), r, f
-        return self.p, r, e
+    @classmethod
+    def variables(cls, n: int) -> tuple[Poly, ...]:
+        return tuple(cls({(v,): 1}) for v in range(n))
 
-    def __add__(self, other) -> ScaledRational:
-        p, r, e = self._lifted(other)
-        return ScaledRational(p + r, e, self.d)
+    @staticmethod
+    def _lift(other) -> Poly:
+        if not isinstance(other, (Poly, int)):
+            raise TypeError(f"cannot combine a Poly with {type(other).__name__}")
+        return other if isinstance(other, Poly) else Poly({(): other})
+
+    def __add__(self, other) -> Poly:
+        terms = dict(self.terms)
+        for e, c in self._lift(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return Poly(terms)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> ScaledRational:
-        p, r, e = self._lifted(other)
-        return ScaledRational(p - r, e, self.d)
+    def __sub__(self, other) -> Poly:
+        return self + -1 * other
 
-    def __rsub__(self, other) -> ScaledRational:
-        p, r, e = self._lifted(other)
-        return ScaledRational(r - p, e, self.d)
+    def __rsub__(self, other) -> Poly:
+        return -1 * self + other
 
-    def __mul__(self, other) -> ScaledRational:
-        if isinstance(other, ScaledRational):
-            return ScaledRational(self.p * other.p, self.e + other.e, self.d)
-        return ScaledRational(self.p * other, self.e, self.d)
+    def __mul__(self, other) -> Poly:
+        terms: dict[tuple[int, ...], int] = {}
+        for f, d in self._lift(other).terms.items():
+            for e, c in self.terms.items():
+                g = tuple(sorted(e + f))
+                terms[g] = terms.get(g, 0) + c * d
+        return Poly(terms)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> ScaledRational:
-        return ScaledRational(self.p**n, self.e * n, self.d)
+    def __pow__(self, n: int) -> Poly:
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
+        result = Poly({(): 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def derivative(self, v: int) -> Poly:
+        """d/dx_v."""
+        terms = {}
+        for e, c in self.terms.items():
+            if v in e:
+                i = e.index(v)
+                terms[e[:i] + e[i + 1 :]] = c * e.count(v)
+        return Poly(terms)
 
     def __eq__(self, other) -> bool:
-        # other is an int or a Fraction
-        return self.p * other.denominator == other.numerator * self.d**self.e
+        return isinstance(other, (Poly, int)) and self.terms == self._lift(other).terms
 
 
 def numerator_display_neg_sum(lam, mu, sigma, k):

@@ -35,7 +35,7 @@ from fractions import Fraction
 from . import bounds, reduction
 from .core import GramMatrix, GSOData, format_rat
 from .displays import (
-    ScaledRational,
+    Poly,
     numerator_display_neg_grouped,
     numerator_display_neg_sum,
     numerator_display_pos_grouped,
@@ -251,6 +251,7 @@ def sigma_interval(case_id: str) -> tuple[Fraction, Fraction]:
 
 def case_region_contains(case_id: str, lam: Fraction, mu: Fraction) -> bool:
     """Exact membership test for one case's (lambda, mu) region."""
+    _side_of(case_id)
     if not (0 <= lam <= HALF and 0 <= mu <= HALF):
         return False
     lam, mu = Fraction(lam), Fraction(mu)
@@ -259,7 +260,7 @@ def case_region_contains(case_id: str, lam: Fraction, mu: Fraction) -> bool:
 
 
 def _region_contains_scaled(case_id: str, i: int, j: int, q: int) -> bool:
-    """Region test at lambda = i/q, mu = j/q, inside the box [0, 1/2]^2."""
+    """Region test of a known case at lambda = i/q, mu = j/q in [0, 1/2]^2."""
     if case_id == NEG_KMIN:
         # the lower boundary mu = 1 + lambda - sqrt(lambda^2 + 2 lambda) is
         # irrational in general; as mu <= 1/2 < 1 + lambda the region is
@@ -272,9 +273,7 @@ def _region_contains_scaled(case_id: str, i: int, j: int, q: int) -> bool:
         # there (the k ceiling degenerates to 0) and Q collapses to 0
         # identically, so the corner is excluded rather than scanned.
         return i != 0 or j != 0
-    if case_id == POS_KMAX:
-        return True
-    raise ValueError(f"unknown case {case_id!r}")
+    return True  # POS_KMAX; callers have already refused unknown ids
 
 
 def case_quadratic(case_id: str, lam: Fraction, mu: Fraction) -> QuadraticCase:
@@ -633,8 +632,6 @@ _DISPLAYS = {
         ("pos_grouped", numerator_display_pos_grouped),
     ),
 }
-# convexity_scan compares this many leading samples with the displays
-_DISPLAY_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -708,9 +705,10 @@ def convexity_scan(
     """Sample the case region on a per_axis^4 grid of (lambda, mu, sigma, k)
     and require, at every point: recomputed numerator >= 0, exact second
     differences at steps h and h/2 both >= 0, float second difference
-    >= -1e-12.  The first `_DISPLAY_SAMPLES` samples are also evaluated
-    against the verbatim numerator displays.  With `keep_samples` the
-    certificate retains every per-point record.
+    >= -1e-12.  Once per call, each verbatim numerator display is compared
+    with the recomputed numerator num2 of `_envelope_polys` as polynomials in
+    (lambda, mu, sigma, k).  With `keep_samples` the certificate retains
+    every per-point record.
 
     The samples sit at k = k_top t/(per_axis + 1), t = 1..per_axis, with
     k_top = C/E and h = k_top/(4 (per_axis + 1)).  With lambda = i/L,
@@ -721,12 +719,18 @@ def convexity_scan(
     (`_envelope_polys`).  So the weights of p in both second differences are
     tabulated once per scan (`_difference_weights`), each sample is a few
     integer dot products and cross-products, and a `Fraction` is built only
-    for the scan's minima and reported samples.  The displays are evaluated
-    on `ScaledRational`s over D = lcm(L, S, k_den), with k = k_num t/k_den.
+    for the scan's minima and reported samples.
     """
     side = _side_of(case_id)
     if per_axis < 2:
         raise ValueError(f"per_axis must be at least 2, got {per_axis}")
+    lam, mu, sigma, k = Poly.variables(4)
+    c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
+    p = (k + lam**2) * (c_val + mu**2 + k * (sigma**2 - e_val))
+    q = k * (c_val - k * e_val)
+    num1 = p.derivative(3) * q - p * q.derivative(3)  # d/dk is d/dx_3
+    num2 = num1.derivative(3) * q - 2 * num1 * q.derivative(3)
+    matches = {name: fn(lam, mu, sigma, k) == num2 for name, fn in _DISPLAYS[side]}
     big_l, big_s, parts = 2 * (per_axis - 1), 6 * (per_axis - 1), per_axis + 1
     big_m = 8 * parts
     first_s = int(sigma_interval(case_id)[0] * big_s)
@@ -736,7 +740,6 @@ def convexity_scan(
     # the minima as (numerator, denominator) pairs, denominators positive
     min_num = min_sd = None
     min_float = math.inf
-    matches = {name: True for name, _fn in _DISPLAYS[side]}
     worst: ConvexitySample | None = None
     kept: list[ConvexitySample] = []
 
@@ -776,15 +779,6 @@ def convexity_scan(
         c_f, e_f = _envelope_pieces(side, lam_f, mu_f, sigma_f)
         lam2, mu2 = lam_f * lam_f, mu_f * mu_f
         h_float = k_num / (4 * k_den)
-        shown = ()
-        if checked < _DISPLAY_SAMPLES:
-            shown = [(name, fn) for name, fn in _DISPLAYS[side] if matches[name]]
-            big_d = math.lcm(big_l, big_s, k_den)
-            lam_x, mu_x, sigma_x = (
-                ScaledRational(x * (big_d // y), 1, big_d)
-                for x, y in ((i, big_l), (j, big_l), (s, big_s))
-            )
-            k_unit = k_num * (big_d // k_den)
         best = row_min = None
         for t, (m, m2, m3, (w0, w1, w2, d), (v0, v1, v2, d_half)) in enumerate(
             shared, 1
@@ -808,15 +802,6 @@ def convexity_scan(
             checked += 1
             if keep_samples:
                 kept.append(exact(t, num, (sd, d), (sd_half, d_half), fcheck))
-            if shown and checked <= _DISPLAY_SAMPLES:
-                k_x = ScaledRational(k_unit * t, 1, big_d)
-                value = scale_num * num
-                for name, fn in shown:
-                    if (
-                        matches[name]
-                        and fn(lam_x, mu_x, sigma_x, k_x) * scale_den != value
-                    ):
-                        matches[name] = False
             if sd_half * d < sd * d_half:
                 low, low_d = sd_half, d_half
             else:

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction as Fr
@@ -6,6 +7,21 @@ import pytest
 
 from hkzdefect import GramMatrix
 from hkzdefect.core import NotPositiveDefiniteError, ldl
+
+
+def poly_value(poly, point):
+    """The value of a `displays.Poly` at a point of Fractions, term by term
+    over their common denominator."""
+    den = math.lcm(*(x.denominator for x in point))
+    nums = [x.numerator * (den // x.denominator) for x in point]
+    top = max(map(len, poly.terms), default=0)
+    total = 0
+    for monomial, coeff in poly.terms.items():
+        term = coeff * den ** (top - len(monomial))
+        for v in monomial:
+            term *= nums[v]
+        total += term
+    return Fr(total, den**top)
 
 
 # Oracles: the Fraction versions of `core.apply_unimodular` and

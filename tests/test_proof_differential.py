@@ -10,9 +10,11 @@ both reports must agree exactly, apart from `wall_time`.  `case_quadratic`
 reads the same integer coefficients the scan evaluates, so `reference_scan`
 checks the scan itself (row maxima, region, ties), and
 `test_case_coefficients_satisfy_the_defining_identity` checks the
-coefficients against the defect formula.  `rational_convexity` is the
-previous library `convexity_scan`, which built each triple's polynomials from
-`Fraction`s, kept as a second oracle.
+coefficients against the defect formula as polynomial identities.  The
+display findings are polynomial identities too: each verbatim numerator
+display minus the recomputed numerator, on `Poly` variables.
+`rational_convexity` is the previous library `convexity_scan`, which built
+each triple's polynomials from `Fraction`s, kept as a second oracle.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from hkzdefect import proofcheck
+from hkzdefect.displays import Poly
 from hkzdefect.proofcheck import (
     ALL_CASES,
     HALF,
@@ -48,6 +51,8 @@ from hkzdefect.proofcheck import (
     scaled_case_coefficients,
     sigma_interval,
 )
+
+from conftest import poly_value
 
 DISPLAYS = {
     "NEG": (
@@ -237,11 +242,39 @@ def test_convexity_scan_matches_fraction_scan(case_id, per_axis):
 
 
 @pytest.mark.parametrize("case_id", ALL_CASES)
-@pytest.mark.parametrize("q", [100, 21, 35])
+@pytest.mark.parametrize("q", [1, 100, 21, 35])
 def test_case_coefficients_satisfy_the_defining_identity(case_id, q):
-    # Q(sigma) = (delta - 25/12) w with delta the defect at the case's (k, l)
-    # and w = (1 - lambda^2) l (k-minimal) or C^2 (1 - sigma^2) (k-maximal);
-    # three sigma per point pin down all three coefficients of the quadratic
+    # 12 Q(sigma) = 12 (delta - 25/12) w, delta the defect at the case's (k, l)
+    # and w = (1 - lambda^2) l = k l (k-minimal) or C^2 (1 - sigma^2)
+    # (k-maximal), as polynomials in (i, j, sigma) at lambda = i/q, mu = j/q.
+    # Both sides are scaled by q^4; at q = 1 the right side reads
+    #   12 (k + lambda^2)(l + mu^2 + k sigma^2) - 25 k l,
+    #     k = 1 - lambda^2 and l = C - k E (k-minimal),
+    #   12 (C + lambda^2 T)(C (1 - sigma^2) + mu^2 T + C sigma^2)
+    #     - 25 C^2 (1 - sigma^2), T = 2 (1 +- sigma) (k-maximal).
+    i, j, sigma = Poly.variables(3)
+    a, b, c = scaled_case_coefficients(case_id, i, j, q)
+    sign = -1 if case_id.startswith("NEG") else 1
+    # q^2 C, with E = (1 - sign sigma)^2 and T = 2 (1 - sign sigma)
+    big_c = q * q - (q - i - j) ** 2 if sign < 0 else q * q - (i - j) ** 2
+    big_e, big_t = (1 - sign * sigma) ** 2, 2 * (1 - sign * sigma)
+    if case_id.endswith("KMIN"):
+        k = q * q - i * i  # q^2 k
+        l = big_c - k * big_e  # q^2 l
+        expected = 12 * (k + i * i) * (l + j * j + k * sigma**2) - 25 * k * l
+    else:
+        expected = 12 * (big_c + i * i * big_t) * (
+            big_c * (1 - sigma**2) + j * j * big_t + big_c * sigma**2
+        ) - 25 * big_c**2 * (1 - sigma**2)
+    assert a * sigma**2 + b * sigma + c == expected
+
+
+@pytest.mark.parametrize("case_id", ALL_CASES)
+def test_case_coefficients_give_the_defect_at_grid_points(case_id):
+    # the identity at the in-region points of the 1/21 grid, through
+    # implied_k_l and defect_from_parameters; three sigma per point pin down
+    # all three coefficients of the quadratic
+    q = 21
     side = case_id[:3]
     lo, hi = sigma_interval(case_id)
     scale = 12 * q**4
@@ -614,7 +647,8 @@ def corrupted_pos_sum(lam, mu, sigma, k):
 
 @pytest.mark.parametrize("case_id", ["POS_KMIN", "POS_KMAX"])
 def test_a_corrupted_display_fails_only_its_match(monkeypatch, case_id):
-    # the last term is nonzero at every sample, so the first comparison fails
+    # the corrupted display exceeds the recomputed numerator by k^3 sigma^2 E v,
+    # a nonzero polynomial, so its identity check fails
     real = convexity_scan(case_id, 10)
     assert real.display_matches["pos_sum"] is True
     table = dict(proofcheck._DISPLAYS)
@@ -627,6 +661,72 @@ def test_a_corrupted_display_fails_only_its_match(monkeypatch, case_id):
     assert control.display_matches == {**real.display_matches, "pos_sum": False}
     assert dataclasses.replace(control, display_matches=real.display_matches) == real
     assert repr(control.min_float_check) == repr(real.min_float_check)
+
+
+# --- the display findings, as polynomial identities ---------------------------
+
+
+def recomputed_numerator(side):
+    """(num, C, E): num = (P'Q - PQ')'Q - 2 (P'Q - PQ') Q' with
+    P = (k + lambda^2)(C + mu^2 + k (sigma^2 - E)) and Q = k (C - k E), as
+    `Poly`s in (lambda, mu, sigma, k)."""
+    lam, mu, sigma, k = Poly.variables(4)
+    if side == "NEG":
+        c_val, e_val = 1 - (1 - lam - mu) ** 2, (1 + sigma) ** 2
+    else:
+        c_val, e_val = 1 - (lam - mu) ** 2, (1 - sigma) ** 2
+    p = (k + lam**2) * (c_val + mu**2 + k * (sigma**2 - e_val))
+    q = k * (c_val - k * e_val)
+    num1 = p.derivative(3) * q - p * q.derivative(3)
+    return num1.derivative(3) * q - 2 * num1 * q.derivative(3), c_val, e_val
+
+
+def display_finding(name):
+    """display - num for each verbatim display, with w = C - k E on the NEG
+    side and v = C - k E on the POS side."""
+    lam, mu, sigma, k = Poly.variables(4)
+    _num, c_val, e_val = recomputed_numerator(name[:3].upper())
+    w = v = c_val - k * e_val  # N(k), named w on the NEG side and v on the POS side
+    if name == "pos_sum":
+        return 0
+    if name in ("neg_sum", "neg_grouped"):
+        return 2 * k**3 * sigma**2 * e_val * (1 - w)
+    m2 = mu**2 + k * sigma**2
+    return (
+        (lam - lam**2) * m2 * (c_val - 2 * k * e_val) ** 2
+        + (k**3 - lam**2 * k**2) * (2 * sigma**2 * e_val - sigma**4) * v
+        + lam**2 * k**2 * sigma**2 * e_val * v
+    )
+
+
+@pytest.mark.parametrize("name", ["neg_sum", "neg_grouped", "pos_sum", "pos_grouped"])
+def test_display_differs_from_the_numerator_by_its_finding(name):
+    side = name[:3].upper()
+    display = dict(DISPLAYS[side])[name]
+    variables = Poly.variables(4)
+    num, _c, _e = recomputed_numerator(side)
+    finding = display_finding(name)
+    assert display(*variables) - num == finding
+    # control: a display with one factor changed fails the same identity
+    assert corrupted_pos_sum(*variables) - num != finding
+
+
+@pytest.mark.parametrize("side", ["NEG", "POS"])
+def test_recomputed_numerator_is_the_convexity_numerator(side):
+    # ties the polynomial num to `convexity_numerator` in the case region
+    num, _c, _e = recomputed_numerator(side)
+    rng = random.Random(side)
+    checked = 0
+    while checked < 50:
+        lam, mu = Fr(rng.randrange(51), 100), Fr(rng.randrange(51), 100)
+        sigma = Fr(rng.randrange(-50, 51), 100)
+        c_val, e_val = proofcheck._envelope_pieces(side, lam, mu, sigma)
+        if c_val <= 0:
+            continue
+        k = c_val / e_val * Fr(rng.randrange(1, 100), 100)
+        point = CasePoint(lam, mu, sigma, k, c_val - k * e_val)
+        assert poly_value(num, point.as_tuple()[:4]) == convexity_numerator(side, point)
+        checked += 1
 
 
 @pytest.mark.parametrize("per_axis", [1, 0, -2])

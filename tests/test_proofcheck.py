@@ -252,8 +252,19 @@ def test_grid_points_refuses_a_nonpositive_step(step):
         lambda case_id: case_quadratic(case_id, Fr(1, 4), Fr(1, 4)),
         lambda case_id: scan_case(case_id, Fr(1, 50)),
         lambda case_id: convexity_scan(case_id, 3),
+        # outside the box [0, 1/2]^2: the id is refused before the box test
+        lambda case_id: case_quadratic(case_id, Fr(-1, 50), 0),
+        lambda case_id: case_region_contains(case_id, Fr(-1, 50), 0),
     ],
-    ids=["implied_k_l", "sigma_interval", "case_quadratic", "scan_case", "convexity_scan"],
+    ids=[
+        "implied_k_l",
+        "sigma_interval",
+        "case_quadratic",
+        "scan_case",
+        "convexity_scan",
+        "case_quadratic_off_box",
+        "case_region_contains_off_box",
+    ],
 )
 def test_unknown_case_ids_are_refused(case_id, call):
     with pytest.raises(ValueError, match=f"^unknown case {case_id!r}$"):

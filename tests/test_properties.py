@@ -5,6 +5,7 @@ inputs and the suite stays deterministic.
 """
 
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Fr
 
@@ -30,12 +31,14 @@ from hkzdefect import (
 )
 from hkzdefect import cli
 from hkzdefect.displays import (
-    ScaledRational,
+    Poly,
     numerator_display_neg_grouped,
     numerator_display_neg_sum,
     numerator_display_pos_grouped,
     numerator_display_pos_sum,
 )
+
+from conftest import poly_value
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -231,24 +234,39 @@ def test_parser_rejects_bad_text_with_one_error_line(fuzz_path, text):
 
 @PROPERTY_SETTINGS
 @given(
-    st.integers(1, 10**6),
-    st.lists(
-        st.tuples(st.integers(-(10**6), 10**6), st.integers(0, 3)),
-        min_size=4,
-        max_size=4,
-    ),
+    st.lists(st.fractions(-2, 2, max_denominator=1000), min_size=4, max_size=4),
+    st.integers(0, 3),
+    st.fractions(-2, 2, max_denominator=1000),
 )
-def test_scaled_rationals_evaluate_the_displays_exactly(den, parts):
-    # (lambda, mu, sigma, k) as p/den^e over one den, with mixed exponents
-    scaled = [ScaledRational(p, e, den) for p, e in parts]
-    exact = [Fr(p, den**e) for p, e in parts]
+def test_polys_evaluate_the_displays_exactly(point, v, h):
+    # each display built on Poly variables takes the display's value, and its
+    # derivatives in x_v give the exact Taylor expansion
+    # f(x + h e_v) = sum_n (d^n f/dx_v^n)(x) h^n / n!
+    variables = Poly.variables(4)
+    shifted = [x + h if index == v else x for index, x in enumerate(point)]
     for display in (
         numerator_display_neg_sum,
         numerator_display_neg_grouped,
         numerator_display_pos_sum,
         numerator_display_pos_grouped,
     ):
-        value, want = display(*scaled), display(*exact)
-        assert value == want
-        assert value != want + Fr(1, den + 1)
-        assert Fr(value.p, den**value.e) == want
+        poly = display(*variables)
+        assert poly_value(poly, point) == display(*point)
+        taylor, term, n = Fr(0), poly, 0
+        while term != 0:
+            taylor += poly_value(term, point) * h**n / math.factorial(n)
+            term, n = term.derivative(v), n + 1
+        assert n > 1
+        assert taylor == display(*shifted)
+
+
+def test_poly_refuses_what_would_make_it_inexact():
+    x, y = Poly.variables(2)
+    assert (x + 1) * (x - 1) == x**2 - 1 and (x + y) ** 0 == 1
+    assert 2 - x != x - 2 and x != Fr(1, 2)
+    with pytest.raises(TypeError, match="cannot combine a Poly with Fraction"):
+        x * Fr(1, 2)
+    with pytest.raises(TypeError, match="cannot combine a Poly with float"):
+        x + 0.5
+    with pytest.raises(ValueError, match="negative exponent"):
+        x**-1
