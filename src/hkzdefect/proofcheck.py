@@ -25,6 +25,7 @@ proof over the continuum between them; reports carry that caveat.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -423,16 +424,12 @@ def _row_peak(a: int, b: int, c: int, s_values: list[int]) -> tuple[int, int]:
     last = len(s_values) - 1
     if a < 0:
         past = bisect.bisect_right(s_values, b // (-2 * a))  # first s > vertex
-        indices = range(max(past - 1, 0), min(past, last) + 1)
+        left, right = max(past - 1, 0), min(past, last)
     else:
-        indices = (0, last)
-    top = at = None
-    for index in indices:
-        s = s_values[index]
-        value = (a * s + b) * s + c
-        if top is None or value > top:
-            top, at = value, index
-    return top, at
+        left, right = 0, last
+    s, t = s_values[left], s_values[right]
+    value_s, value_t = (a * s + b) * s + c, (a * t + b) * t + c
+    return (value_t, right) if value_t > value_s else (value_s, left)
 
 
 def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanReport:
@@ -449,6 +446,12 @@ def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanR
     whole case, so the maximum and the signs are those of Q itself.  Each
     row (i, j) is bounded by its exact maximum (`_row_peak`), and only a row
     whose maximum reaches 0 is walked point by point.
+
+    (A, B, C) have degree <= 4 in j, so for each i the scan calls
+    `scaled_case_coefficients` at j = 0..4 only, builds their forward
+    differences and steps along j = 0..q/2 by integer additions (the method
+    of finite differences).  After each i the stepped values at j = q/2 are
+    compared with one direct call; a difference raises RuntimeError.
     """
     grid_step = Fraction(grid_step)
     if grid_step <= 0 or (HALF / grid_step).denominator != 1:
@@ -463,13 +466,32 @@ def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanR
     argmax: tuple[int, int, int] | None = None
     equalities: list[tuple[int, int, int]] = []
     violations: list[tuple[int, int, int]] = []
-    for i in range(q // 2 + 1):
-        for j in range(q // 2 + 1):
+    half = q // 2
+    for i in range(half + 1):
+        seeds = [scaled_case_coefficients(case_id, i, j, q) for j in range(5)]
+        tables = []
+        for scale, diffs in zip((1, den, den * den), map(list, zip(*seeds))):
+            for level in range(1, 5):  # forward differences of the seeds
+                for m in range(4, level - 1, -1):
+                    diffs[m] -= diffs[m - 1]
+            tables.append([scale * d for d in diffs])
+        (a, a1, a2, a3, a4), (b, b1, b2, b3, b4), (c, c1, c2, c3, c4) = tables
+        for j in range(half + 1):
+            if j:
+                a += a1
+                a1 += a2
+                a2 += a3
+                a3 += a4
+                b += b1
+                b1 += b2
+                b2 += b3
+                b3 += b4
+                c += c1
+                c1 += c2
+                c2 += c3
+                c3 += c4
             if not _region_contains_scaled(case_id, i, j, q):
                 continue
-            a, b, c = scaled_case_coefficients(case_id, i, j, q)
-            b *= den
-            c *= den * den
             checked += len(s_values)
             # the first point of this row at its maximum is where a running
             # "strictly greater" maximum would have moved to
@@ -484,6 +506,12 @@ def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanR
                         equalities.append((i, j, s))
                     elif value > 0:
                         violations.append((i, j, s))
+        direct_a, direct_b, direct_c = scaled_case_coefficients(case_id, i, half, q)
+        if (a, b, c) != (direct_a, direct_b * den, direct_c * den * den):
+            raise RuntimeError(
+                f"{case_id}: stepped coefficients at ({i}/{q}, {half}/{q}) "
+                "differ from scaled_case_coefficients"
+            )
     if best is None:
         raise RuntimeError(f"empty scan region for {case_id}")
 
@@ -697,6 +725,21 @@ def _difference_weights(q_poly, m_values) -> list[tuple]:
     return entries
 
 
+@functools.cache
+def _display_matches(side: str, displays: tuple) -> tuple[tuple[str, bool], ...]:
+    """(name, verdict) for each (name, display) of `displays`: whether the
+    display equals the recomputed numerator num2 of `_envelope_polys` as a
+    polynomial in (lambda, mu, sigma, k).  Cached: a side's polynomials are
+    built once for each table of displays."""
+    lam, mu, sigma, k = Poly.variables(4)
+    c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
+    p = (k + lam**2) * (c_val + mu**2 + k * (sigma**2 - e_val))
+    q = k * (c_val - k * e_val)
+    num1 = p.derivative(3) * q - p * q.derivative(3)  # d/dk is d/dx_3
+    num2 = num1.derivative(3) * q - 2 * num1 * q.derivative(3)
+    return tuple((name, fn(lam, mu, sigma, k) == num2) for name, fn in displays)
+
+
 def convexity_scan(
     case_id: str,
     per_axis: int = 10,
@@ -705,10 +748,10 @@ def convexity_scan(
     """Sample the case region on a per_axis^4 grid of (lambda, mu, sigma, k)
     and require, at every point: recomputed numerator >= 0, exact second
     differences at steps h and h/2 both >= 0, float second difference
-    >= -1e-12.  Once per call, each verbatim numerator display is compared
-    with the recomputed numerator num2 of `_envelope_polys` as polynomials in
-    (lambda, mu, sigma, k).  With `keep_samples` the certificate retains
-    every per-point record.
+    >= -1e-12.  Each verbatim numerator display is compared with the
+    recomputed numerator num2 of `_envelope_polys` as polynomials in
+    (lambda, mu, sigma, k), once per side (`_display_matches`).  With
+    `keep_samples` the certificate retains every per-point record.
 
     The samples sit at k = k_top t/(per_axis + 1), t = 1..per_axis, with
     k_top = C/E and h = k_top/(4 (per_axis + 1)).  With lambda = i/L,
@@ -724,13 +767,7 @@ def convexity_scan(
     side = _side_of(case_id)
     if per_axis < 2:
         raise ValueError(f"per_axis must be at least 2, got {per_axis}")
-    lam, mu, sigma, k = Poly.variables(4)
-    c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
-    p = (k + lam**2) * (c_val + mu**2 + k * (sigma**2 - e_val))
-    q = k * (c_val - k * e_val)
-    num1 = p.derivative(3) * q - p * q.derivative(3)  # d/dk is d/dx_3
-    num2 = num1.derivative(3) * q - 2 * num1 * q.derivative(3)
-    matches = {name: fn(lam, mu, sigma, k) == num2 for name, fn in _DISPLAYS[side]}
+    matches = dict(_display_matches(side, _DISPLAYS[side]))
     big_l, big_s, parts = 2 * (per_axis - 1), 6 * (per_axis - 1), per_axis + 1
     big_m = 8 * parts
     first_s = int(sigma_interval(case_id)[0] * big_s)

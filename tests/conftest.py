@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from hkzdefect import GramMatrix
+from hkzdefect import GramMatrix, proofcheck
 from hkzdefect.core import NotPositiveDefiniteError, ldl
 
 
@@ -26,7 +26,8 @@ def poly_value(poly, point):
 
 # Oracles: the Fraction versions of `core.apply_unimodular` and
 # `reduction._independent_over_q` that the library used before its integer
-# kernels, kept unchanged so that tests do not check the code against itself.
+# kernels, and the integer case scan before its finite-difference stepping,
+# kept so that tests do not check the code against itself.
 
 
 def fraction_apply_unimodular(gram, transform):
@@ -57,6 +58,58 @@ def fraction_independent_over_q(rows, candidate) -> bool:
         rows.append(vec)
         return True
     return False
+
+
+def integer_scan(case_id, grid_step):
+    """The fields of `proofcheck.scan_case`'s report but `wall_time`, from the
+    scan's loop before it stepped rows by finite differences: one direct
+    `scaled_case_coefficients` call and one `_row_peak` per (lambda, mu)."""
+    q = grid_step.denominator
+    den = math.lcm(q, 3)
+    lo, hi = proofcheck.sigma_interval(case_id)
+    s_values = [int(sigma * den) for sigma in proofcheck.grid_points(lo, hi, grid_step)]
+    checked = 0
+    best = argmax = None
+    equalities, violations = [], []
+    for i in range(q // 2 + 1):
+        for j in range(q // 2 + 1):
+            if not proofcheck._region_contains_scaled(case_id, i, j, q):
+                continue
+            a, b, c = proofcheck.scaled_case_coefficients(case_id, i, j, q)
+            b *= den
+            c *= den * den
+            checked += len(s_values)
+            top, at = proofcheck._row_peak(a, b, c, s_values)
+            if best is None or top > best:
+                best = top
+                argmax = (i, j, s_values[at])
+            if top >= 0:
+                for s in s_values:
+                    value = (a * s + b) * s + c
+                    if value == 0:
+                        equalities.append((i, j, s))
+                    elif value > 0:
+                        violations.append((i, j, s))
+
+    def to_point(triple):
+        i, j, s = triple
+        lam, mu, sigma = Fr(i, q), Fr(j, q), Fr(s, den)
+        return proofcheck.CasePoint(
+            lam, mu, sigma, *proofcheck.implied_k_l(case_id, lam, mu, sigma)
+        )
+
+    return dict(
+        case_id=case_id,
+        grid_step=grid_step,
+        points_checked=checked,
+        max_value=Fr(best, 12 * q**4 * den * den),
+        argmax=to_point(argmax),
+        equality_points=tuple(map(to_point, equalities)),
+        violations=tuple(map(to_point, violations)),
+        argmax_roots_float=proofcheck._quadratic_scaled(
+            case_id, *argmax[:2], q
+        ).roots_float(),
+    )
 
 
 def patch_everywhere(monkeypatch, original, replacement) -> int:

@@ -8,7 +8,9 @@ every sample.  The library scans bound each row by its exact maximum and
 share one integer weight table per convexity scan instead, so every field of
 both reports must agree exactly, apart from `wall_time`.  `case_quadratic`
 reads the same integer coefficients the scan evaluates, so `reference_scan`
-checks the scan itself (row maxima, region, ties), and
+checks the scan itself (row maxima, region, ties).  `conftest.integer_scan`
+is the integer scan with one direct `scaled_case_coefficients` call per row,
+the oracle for the finite-difference stepping along mu.
 `test_case_coefficients_satisfy_the_defining_identity` checks the
 coefficients against the defect formula as polynomial identities.  The
 display findings are polynomial identities too: each verbatim numerator
@@ -52,7 +54,7 @@ from hkzdefect.proofcheck import (
     sigma_interval,
 )
 
-from conftest import poly_value
+from conftest import integer_scan, poly_value
 
 DISPLAYS = {
     "NEG": (
@@ -213,18 +215,68 @@ def float_bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-@pytest.mark.parametrize("case_id", ALL_CASES)
-@pytest.mark.parametrize("denominator", [50, 60, 100, 202])
-def test_scan_case_matches_fraction_scan(case_id, denominator):
-    # the +-1/3 sigma endpoint is on the grid at 1/60 only
-    step = Fr(1, denominator)
-    assert (Fr(1, 3) / step).denominator == (1 if denominator == 60 else 3)
-    report = scan_case(case_id, step)
-    expected = reference_scan(case_id, step)
+def scan_fields(report):
     fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     fields.pop("wall_time")
-    assert fields == expected
+    return fields
+
+
+@pytest.mark.parametrize("case_id", ALL_CASES)
+@pytest.mark.parametrize("denominator", [2, 4, 6, 50, 60, 100, 202])
+def test_scan_case_matches_fraction_scan(case_id, denominator):
+    # the +-1/3 sigma endpoint is on the grid at 1/6 and 1/60 only
+    step = Fr(1, denominator)
+    assert (Fr(1, 3) / step).denominator == (1 if denominator in (6, 60) else 3)
+    report = scan_case(case_id, step)
+    expected = reference_scan(case_id, step)
+    assert scan_fields(report) == expected
     assert repr(report.argmax_roots_float) == repr(expected["argmax_roots_float"])
+
+
+@pytest.mark.parametrize("case_id", ALL_CASES)
+@pytest.mark.parametrize("q", [2, 4, 6, 50, 60, 100, 200, 202])
+def test_scan_case_matches_integer_scan(case_id, q):
+    # at q = 2 and 4 a row (j = 0..q/2) is shorter than the five seeds
+    step = Fr(1, q)
+    report = scan_case(case_id, step)
+    expected = integer_scan(case_id, step)
+    assert scan_fields(report) == expected
+    assert repr(report.argmax_roots_float) == repr(expected["argmax_roots_float"])
+
+
+def test_scan_case_steps_any_quartic_in_mu_exactly(monkeypatch):
+    # c + q^4 j^4 shifts Q by (j/q)^4 / 12, still of degree 4 in j: the
+    # stepped rows equal the direct ones, violations included
+    real = proofcheck.scaled_case_coefficients
+
+    def quartic(case_id, i, j, q):
+        a, b, c = real(case_id, i, j, q)
+        return a, b, c + q**4 * j**4
+
+    monkeypatch.setattr(proofcheck, "scaled_case_coefficients", quartic)
+    step = Fr(1, 50)
+    for case_id in ALL_CASES:
+        report = scan_case(case_id, step)
+        assert report.violations
+        assert scan_fields(report) == integer_scan(case_id, step)
+
+
+@pytest.mark.parametrize("coeff", range(3), ids=["a", "b", "c"])
+def test_scan_case_stepping_check_catches_degree_five(monkeypatch, coeff):
+    # negative control: j^5 in one coefficient is not reproduced by stepping
+    # the differences of j = 0..4, so the row-end check at j = q/2 raises
+    # instead of a report being returned
+    real = proofcheck.scaled_case_coefficients
+
+    def quintic(case_id, i, j, q):
+        coeffs = list(real(case_id, i, j, q))
+        coeffs[coeff] += j**5
+        return tuple(coeffs)
+
+    monkeypatch.setattr(proofcheck, "scaled_case_coefficients", quintic)
+    for case_id in ALL_CASES:
+        with pytest.raises(RuntimeError, match="differ from scaled_case_coefficients"):
+            scan_case(case_id, Fr(1, 50))
 
 
 @pytest.mark.parametrize("case_id", ALL_CASES)
