@@ -211,7 +211,7 @@ def cmd_verify_proof(args) -> int:
     from . import proofcheck  # loaded only for a step that passed the checks
 
     cases = proofcheck.ALL_CASES
-    if args.case:
+    if args.case is not None:
         if args.case not in proofcheck.ALL_CASES:
             print(
                 f"error: unknown case {args.case!r}"

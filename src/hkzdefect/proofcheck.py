@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -740,6 +741,18 @@ def _display_matches(side: str, displays: tuple) -> tuple[tuple[str, bool], ...]
     return tuple((name, fn(lam, mu, sigma, k) == num2) for name, fn in displays)
 
 
+@dataclass
+class _CaseTotals:
+    """One case's running totals; minima as (numerator, denominator > 0)."""
+
+    checked: int = 0
+    num: tuple[int, int] | None = None
+    sd: tuple[int, int] | None = None
+    float_check: float = math.inf
+    worst: ConvexitySample | None = None
+    kept: list[ConvexitySample] = field(default_factory=list)
+
+
 def convexity_scan(
     case_id: str,
     per_axis: int = 10,
@@ -751,7 +764,8 @@ def convexity_scan(
     >= -1e-12.  Each verbatim numerator display is compared with the
     recomputed numerator num2 of `_envelope_polys` as polynomials in
     (lambda, mu, sigma, k), once per side (`_display_matches`).  With
-    `keep_samples` the certificate retains every per-point record.
+    `keep_samples` the certificate retains every per-point record.  This is
+    the one-case call of `_convexity_pass`, which verify-proof makes once.
 
     The samples sit at k = k_top t/(per_axis + 1), t = 1..per_axis, with
     k_top = C/E and h = k_top/(4 (per_axis + 1)).  With lambda = i/L,
@@ -760,25 +774,27 @@ def convexity_scan(
     integers m and M = 8 (per_axis + 1), and the envelope is p(m)/q(m) over
     a positive scale of the triple, with q the same for every triple
     (`_envelope_polys`).  So the weights of p in both second differences are
-    tabulated once per scan (`_difference_weights`), each sample is a few
+    tabulated once per pass (`_difference_weights`), each sample is a few
     integer dot products and cross-products, and a `Fraction` is built only
-    for the scan's minima and reported samples.
+    for the minima and reported samples.
     """
-    side = _side_of(case_id)
+    return _convexity_pass((case_id,), per_axis, keep_samples)[0]
+
+
+def _convexity_pass(cases: tuple[str, ...], per_axis: int, keep_samples: bool):
+    """The `convexity_scan` certificates of `cases`, in order.  The cases of a
+    side share the envelope, the sigma interval and the grid, and a k-minimal
+    region lies inside its k-maximal one.  So one pass per side evaluates
+    each triple of the union of the requested regions once, and folds its
+    row summary into the totals of every requested case whose region holds
+    it, in the order a one-case scan would meet it."""
+    sides = {case_id: _side_of(case_id) for case_id in cases}
     if per_axis < 2:
         raise ValueError(f"per_axis must be at least 2, got {per_axis}")
-    matches = dict(_display_matches(side, _DISPLAYS[side]))
     big_l, big_s, parts = 2 * (per_axis - 1), 6 * (per_axis - 1), per_axis + 1
     big_m = 8 * parts
-    first_s = int(sigma_interval(case_id)[0] * big_s)
     # sample t at m = 8t, k -+ h at m -+ 2 and k -+ h/2 at m -+ 1
     shared = _difference_weights((0, big_m, -1), range(8, big_m, 8))
-    checked = 0
-    # the minima as (numerator, denominator) pairs, denominators positive
-    min_num = min_sd = None
-    min_float = math.inf
-    worst: ConvexitySample | None = None
-    kept: list[ConvexitySample] = []
 
     def exact(t, num, sd, sd_half, fcheck) -> ConvexitySample:
         # the record of sample t of the current triple as rationals
@@ -793,83 +809,96 @@ def convexity_scan(
             fcheck,
         )
 
-    triples = [
-        (i, j, s)
-        for i in range(per_axis)
-        for j in range(per_axis)
-        if _region_contains_scaled(case_id, i, j, big_l)
-        for s in range(first_s, first_s + per_axis)
-    ]
-    for i, j, s in triples:
-        (
-            (p0, p1, p2),
-            (n0, n1, n2, n3),
-            (f_num, f_den),
-            (scale_num, scale_den),
-            (k_num, k_den),
-        ) = _envelope_polys(side, i, j, s, big_l, big_s, big_m)
-        k_den *= parts
-        # `_envelope_value_float` with the same operations in the same order,
-        # so each float_check is bit for bit the float second difference;
-        # int / int division rounds k and h correctly
-        lam_f, mu_f, sigma_f = i / big_l, j / big_l, s / big_s
-        c_f, e_f = _envelope_pieces(side, lam_f, mu_f, sigma_f)
-        lam2, mu2 = lam_f * lam_f, mu_f * mu_f
-        h_float = k_num / (4 * k_den)
-        best = row_min = None
-        for t, (m, m2, m3, (w0, w1, w2, d), (v0, v1, v2, d_half)) in enumerate(
-            shared, 1
-        ):
-            num = n0 + n1 * m + n2 * m2 + n3 * m3
-            sd = p0 * w0 + p1 * w1 + p2 * w2
-            sd_half = p0 * v0 + p1 * v1 + p2 * v2
-            k = k_num * t / k_den
-            lo, hi = k - h_float, k + h_float
-            fcheck = (
-                (1.0 + lam2 / lo)
-                * (1.0 + (mu2 + lo * sigma_f * sigma_f) / (c_f - lo * e_f))
-                - 2.0
-                * (
-                    (1.0 + lam2 / k)
-                    * (1.0 + (mu2 + k * sigma_f * sigma_f) / (c_f - k * e_f))
+    totals = {case_id: _CaseTotals() for case_id in cases}
+    own = {side: [c for c in sides if sides[c] == side] for side in sides.values()}
+    first_s = {side: int(sigma_interval(own[side][0])[0] * big_s) for side in own}
+    for side, i, j in itertools.product(own, range(per_axis), range(per_axis)):
+        holders = [
+            totals[c] for c in own[side] if _region_contains_scaled(c, i, j, big_l)
+        ]
+        if not holders:
+            continue
+        for s in range(first_s[side], first_s[side] + per_axis):
+            (
+                (p0, p1, p2),
+                (n0, n1, n2, n3),
+                (f_num, f_den),
+                (scale_num, scale_den),
+                (k_num, k_den),
+            ) = _envelope_polys(side, i, j, s, big_l, big_s, big_m)
+            k_den *= parts
+            # `_envelope_value_float` with the same operations in the same order,
+            # so each float_check is bit for bit the float second difference;
+            # int / int division rounds k and h correctly
+            lam_f, mu_f, sigma_f = i / big_l, j / big_l, s / big_s
+            c_f, e_f = _envelope_pieces(side, lam_f, mu_f, sigma_f)
+            lam2, mu2 = lam_f * lam_f, mu_f * mu_f
+            h_float = k_num / (4 * k_den)
+            best = row_min = None
+            row_float, row_kept = math.inf, []
+            for t, (m, m2, m3, (w0, w1, w2, d), (v0, v1, v2, d_half)) in enumerate(
+                shared, 1
+            ):
+                num = n0 + n1 * m + n2 * m2 + n3 * m3
+                sd = p0 * w0 + p1 * w1 + p2 * w2
+                sd_half = p0 * v0 + p1 * v1 + p2 * v2
+                k = k_num * t / k_den
+                lo, hi = k - h_float, k + h_float
+                fcheck = (
+                    (1.0 + lam2 / lo)
+                    * (1.0 + (mu2 + lo * sigma_f * sigma_f) / (c_f - lo * e_f))
+                    - 2.0
+                    * (
+                        (1.0 + lam2 / k)
+                        * (1.0 + (mu2 + k * sigma_f * sigma_f) / (c_f - k * e_f))
+                    )
+                    + (1.0 + lam2 / hi)
+                    * (1.0 + (mu2 + hi * sigma_f * sigma_f) / (c_f - hi * e_f))
                 )
-                + (1.0 + lam2 / hi)
-                * (1.0 + (mu2 + hi * sigma_f * sigma_f) / (c_f - hi * e_f))
-            )
-            checked += 1
-            if keep_samples:
-                kept.append(exact(t, num, (sd, d), (sd_half, d_half), fcheck))
-            if sd_half * d < sd * d_half:
-                low, low_d = sd_half, d_half
-            else:
-                low, low_d = sd, d
-            if best is None or low * best_d < best_low * low_d:
-                best = (t, num, (sd, d), (sd_half, d_half), fcheck)
-                best_low, best_d = low, low_d
-            if row_min is None or num < row_min:
-                row_min = num
-            if fcheck < min_float:
-                min_float = fcheck
-        row_num = (scale_num * row_min, scale_den)
-        if min_num is None or row_num[0] * min_num[1] < min_num[0] * row_num[1]:
-            min_num = row_num
-        row_sd = (f_num * best_low, f_den * best_d)
-        if min_sd is None or row_sd[0] * min_sd[1] < min_sd[0] * row_sd[1]:
-            min_sd = row_sd
-            worst = exact(*best)
-    if min_num is None:
-        raise RuntimeError(f"empty convexity region for {case_id}")
-    return ConvexityCertificate(
-        case_id=case_id,
-        side=side,
-        samples_checked=checked,
-        min_numerator=Fraction(*min_num),
-        min_second_difference=Fraction(*min_sd),
-        min_float_check=min_float,
-        display_matches=matches,
-        worst_samples=(worst,) if worst else (),
-        samples=tuple(kept),
-    )
+                if keep_samples:
+                    row_kept.append(exact(t, num, (sd, d), (sd_half, d_half), fcheck))
+                if sd_half * d < sd * d_half:
+                    low_sd, low_d = sd_half, d_half
+                else:
+                    low_sd, low_d = sd, d
+                if best is None or low_sd * best_d < best_sd * low_d:
+                    best = (t, num, (sd, d), (sd_half, d_half), fcheck)
+                    best_sd, best_d = low_sd, low_d
+                if row_min is None or num < row_min:
+                    row_min = num
+                if fcheck < row_float:
+                    row_float = fcheck
+            # fold the row into the totals of each case that holds the triple
+            row_num = (scale_num * row_min, scale_den)
+            row_sd = (f_num * best_sd, f_den * best_d)
+            for total in holders:
+                total.checked += len(shared)
+                old = total.num
+                if old is None or row_num[0] * old[1] < old[0] * row_num[1]:
+                    total.num = row_num
+                old = total.sd
+                if old is None or row_sd[0] * old[1] < old[0] * row_sd[1]:
+                    total.sd = row_sd
+                    total.worst = exact(*best)
+                total.float_check = min(total.float_check, row_float)
+                total.kept += row_kept
+    certificates = {}
+    for case_id, total in totals.items():
+        if total.num is None:
+            raise RuntimeError(f"empty convexity region for {case_id}")
+        side = sides[case_id]
+        certificates[case_id] = ConvexityCertificate(
+            case_id=case_id,
+            side=side,
+            samples_checked=total.checked,
+            min_numerator=Fraction(*total.num),
+            min_second_difference=Fraction(*total.sd),
+            min_float_check=total.float_check,
+            display_matches=dict(_display_matches(side, _DISPLAYS[side])),
+            worst_samples=(total.worst,),
+            samples=tuple(total.kept),
+        )
+    return tuple(certificates[case_id] for case_id in cases)
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +983,7 @@ def run_full_verification(
     started = time.perf_counter()
     scans = tuple(scan_case(case_id, grid_step) for case_id in cases)
     small = verify_small_sigma_bound()
-    convexity = tuple(convexity_scan(case_id) for case_id in cases)
+    convexity = _convexity_pass(cases, per_axis=10, keep_samples=False)
     extremal = verify_extremal_form()
     return VerificationResult(
         grid_step=Fraction(grid_step),

@@ -272,6 +272,10 @@ def test_verify_proof_checks_the_step_before_loading_proofcheck(
 
 def test_verify_proof_rejects_unknown_case(capsys):
     assert cli.main(["verify-proof", "--case", "DIAGONAL"]) == 3
+    # an empty id is an unknown case too, not "every case"
+    capsys.readouterr()
+    assert cli.main(["verify-proof", "--step", "1/50", "--case="]) == 3
+    assert "error: unknown case ''" in capsys.readouterr().err
 
 
 def test_verify_proof_corrupted_coefficients(monkeypatch, capsys):

@@ -17,6 +17,8 @@ display findings are polynomial identities too: each verbatim numerator
 display minus the recomputed numerator, on `Poly` variables.
 `rational_convexity` is the previous library `convexity_scan`, which built
 each triple's polynomials from `Fraction`s, kept as a second oracle.
+`_convexity_pass` serves several cases in one pass per side; each of its
+certificates is compared with the one-case `convexity_scan`.
 """
 
 import dataclasses
@@ -49,6 +51,7 @@ from hkzdefect.proofcheck import (
     numerator_display_neg_sum,
     numerator_display_pos_grouped,
     numerator_display_pos_sum,
+    run_full_verification,
     scan_case,
     scaled_case_coefficients,
     sigma_interval,
@@ -438,6 +441,69 @@ def test_convexity_scan_rejects_a_nonpositive_denominator(monkeypatch, poison):
     monkeypatch.setattr(proofcheck, "_difference_weights", poisoned)
     with pytest.raises(ValueError, match="outside case region"):
         convexity_scan("POS_KMAX", 3)
+
+
+# --- the shared convexity pass ------------------------------------------------
+
+SIDE_PAIRS = [("NEG_KMIN", "NEG_KMAX"), ("POS_KMIN", "POS_KMAX")]
+
+
+def assert_same_certificate(got, want):
+    assert got == want
+    assert repr(got.min_float_check) == repr(want.min_float_check)
+    for got_sample, want_sample in zip(got.samples, want.samples, strict=True):
+        assert repr(got_sample.float_check) == repr(want_sample.float_check)
+
+
+@pytest.mark.parametrize("pair", SIDE_PAIRS, ids=["NEG", "POS"])
+@pytest.mark.parametrize("per_axis", [2, 3, 4, 5, 10])
+@pytest.mark.parametrize("keep_samples", [False, True], ids=["summary", "kept"])
+def test_shared_convexity_pass_matches_one_case_scans(pair, per_axis, keep_samples):
+    # one pass over the k-maximal region serves the k-minimal case inside it;
+    # each certificate must be the one-case scan's, field by field
+    alone = [convexity_scan(case_id, per_axis, keep_samples) for case_id in pair]
+    for order in (1, -1):
+        shared = proofcheck._convexity_pass(pair[::order], per_axis, keep_samples)
+        for cert, want in zip(shared, alone[::order], strict=True):
+            assert_same_certificate(cert, want)
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        ("POS_KMIN", "NEG_KMAX", "POS_KMAX"),
+        ("POS_KMAX", "NEG_KMIN", "POS_KMIN", "NEG_KMIN"),
+    ],
+    ids=["mixed", "duplicate"],
+)
+def test_full_verification_returns_certificates_in_case_order(cases):
+    result = run_full_verification(Fr(1, 50), cases)
+    assert [cert.case_id for cert in result.convexity] == list(cases)
+    assert [scan.case_id for scan in result.scans] == list(cases)
+    for cert, case_id in zip(result.convexity, cases):
+        assert_same_certificate(cert, convexity_scan(case_id))
+
+
+def test_shared_pass_tie_rule_keeps_each_case_first_sample(monkeypatch):
+    # as `test_convexity_tie_rule_keeps_the_first_sample`, through one pass
+    # for all four cases: a k-minimal case's worst sample is the first of its
+    # own region, not the first of the k-maximal region around it
+    real = proofcheck._envelope_polys
+
+    def flat(*args):
+        _p, num_poly, f_scale, num_scale, k_top = real(*args)
+        return [0, 0, 0], num_poly, f_scale, num_scale, k_top
+
+    monkeypatch.setattr(proofcheck, "_envelope_polys", flat)
+    certs = proofcheck._convexity_pass(ALL_CASES, 4, keep_samples=True)
+    for cert, case_id in zip(certs, ALL_CASES, strict=True):
+        assert cert.case_id == case_id
+        assert cert.min_second_difference == 0
+        assert cert.worst_samples == (cert.samples[0],)
+        assert cert == convexity_scan(case_id, 4, keep_samples=True)
+    # NEG_KMIN starts at lambda = 1/4; both POS regions hold lambda = mu = 0
+    firsts = {cert.case_id: cert.samples[0].point for cert in certs}
+    assert firsts["NEG_KMIN"] != firsts["NEG_KMAX"]
 
 
 # --- row maxima ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
@@ -19,6 +20,7 @@ from hkzdefect import (
     verify_extremal_form,
     verify_small_sigma_bound,
 )
+from hkzdefect import proofcheck
 from hkzdefect.proofcheck import (
     ALL_CASES,
     NEG_KMAX,
@@ -445,6 +447,41 @@ def test_convexity_scan_retains_samples_on_request():
         assert sample.numerator >= 0
         assert sample.second_difference >= 0
         assert sample.second_difference_half >= 0
+
+
+def test_verify_proof_evaluates_each_convexity_triple_once(monkeypatch):
+    # the four regions hold 2,830 triples (28,300 samples); the k-minimal ones
+    # lie inside the k-maximal ones, whose union is 990 + 1,000 = 1,990
+    # triples.  A second run counts as many again: the saving is sharing
+    # within one run, not a cache across runs
+    real = proofcheck._envelope_polys
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:4])
+        return real(*args)
+
+    monkeypatch.setattr(proofcheck, "_envelope_polys", counted)
+    result = proofcheck.run_full_verification(Fr(1, 200))
+    assert sum(cert.samples_checked for cert in result.convexity) == 28_300
+    assert len(calls) == len(set(calls)) == 1_990
+    proofcheck.run_full_verification(Fr(1, 200))
+    assert len(calls) == 2 * 1_990
+
+
+def test_verify_proof_convexity_pass_keeps_no_sample_table():
+    # after a warm-up, run_full_verification(1/50) peaked at about 60 KB under
+    # tracemalloc with one scan per case and 27 KB with one streaming pass per
+    # side; a memo of every triple's row peaked near 960 KB and raised the
+    # benchmark's peak RSS past its 5% bound, so 200 KB is the guard
+    proofcheck.run_full_verification(Fr(1, 50))
+    tracemalloc.start()
+    try:
+        proofcheck.run_full_verification(Fr(1, 50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
 
 
 # --- extremal form -----------------------------------------------------------
