@@ -5,8 +5,8 @@ With ||b_1||^2 normalized to 1 and parameters (lambda, mu, sigma, k, l), the
 claim "no HKZ-reduced rank-3 basis has defect above 25/12" reduces to four
 quadratic inequalities in sigma after the small-|sigma| corner bound and a
 convexity argument in k.  Everything below re-checks those steps in exact
-rational arithmetic on a grid (the original verification's own standard:
-pointwise, not interval, rigor).
+rational arithmetic; the scans and the convexity samples do so on a grid (the
+original verification's own standard: pointwise, not interval, rigor).
 """
 
 from fractions import Fraction as Fr
@@ -32,8 +32,10 @@ print("defect at the extremal parameters:", defect_from_parameters(extremal))
 report = check_hkz_inequalities(extremal)
 print("inequalities (1)-(5) hold:", report.ok, " derived (6)-(8) hold:", report.derived_hold)
 
-# For |sigma| <= 1/3 the defect envelope is maximized at the corner
-# k = 3/4, l = 2/3 where it equals exactly 2 (below 25/12).
+# For |sigma| <= 1/3 the defect envelope is a product of two positive,
+# strictly decreasing factors, so over all k >= 3/4, l >= 2/3 it is largest
+# at the corner, where it equals exactly 2 (below 25/12).  This is proven,
+# not sampled: the check evaluates the envelope at the corner only.
 small = verify_small_sigma_bound()
 print("\nsmall-sigma corner value:", small.corner_value, " verified:", small.ok)
 

@@ -6,8 +6,8 @@ expanded numerator displays of the convexity argument and their regrouped
 variants, kept for comparison against the recomputed numerator
 (`proofcheck.convexity_numerator`); mismatches are reported, never silently
 corrected.  They take `Fraction`s, or the variables of a `Poly`, on which
-`proofcheck.convexity_scan` compares them with the recomputed numerator as
-polynomial identities.
+`proofcheck._display_matches` compares them with the recomputed numerator as
+polynomial identities, once per side.
 """
 
 from __future__ import annotations

@@ -165,50 +165,40 @@ def check_hkz_inequalities(point: CasePoint) -> InequalitySystemReport:
 # the |sigma| <= 1/3 corner bound
 
 
+# the envelope is a product of factors c + d/x, one in k and one in l, each
+# taken on x >= x0: (1 + 1/(4k)) (9/8 + 1/(4l)) on k >= 3/4, l >= 2/3
+SMALL_SIGMA_FACTORS = (
+    (Fraction(1), QUARTER, Fraction(3, 4)),
+    (Fraction(9, 8), QUARTER, Fraction(2, 3)),
+)
+
+
 @dataclass(frozen=True)
 class SmallSigmaReport:
     corner_value: Fraction
-    samples: tuple[tuple[Fraction, Fraction, Fraction], ...]  # (k, l, value)
-    monotone: bool
     ok: bool
 
 
 def small_sigma_bound_value(k: Fraction, l: Fraction) -> Fraction:
     """(1 + 1/(4k)) (9/8 + 1/(4l)), the defect envelope for |sigma| <= 1/3."""
-    return (1 + Fraction(1, 4) / k) * (Fraction(9, 8) + Fraction(1, 4) / l)
+    (c_k, d_k, _), (c_l, d_l, _) = SMALL_SIGMA_FACTORS
+    return (c_k + d_k / k) * (c_l + d_l / l)
 
 
 def verify_small_sigma_bound() -> SmallSigmaReport:
-    """Confirm the small-sigma envelope peaks at the corner k = 3/4, l = 2/3
-    with value exactly 2, decreasing in each variable away from it.
+    """Prove the small-sigma envelope is at most 2 on k >= 3/4, l >= 2/3.
 
-    The samples are the 8 x 8 grid of steps 1/2 up from the corner.  Every
-    sampled value must be strictly below 2 off the corner and strictly above
-    the 9/8 floor.
+    A factor c + d/x with c, d > 0 is positive and strictly decreasing on
+    x > 0.  So where each x0 is positive, the product on the whole
+    quarter-plane x >= x0 is at most its corner value, with equality only at
+    the corner, and above the product of the c, 9/8.  The check confirms
+    these premises and evaluates the envelope once, at the corner, where it
+    must equal 2.  The envelope and its domain are the paper's; they are not
+    re-derived from `check_hkz_inequalities`.
     """
-    k0, l0 = Fraction(3, 4), Fraction(2, 3)
-    corner = small_sigma_bound_value(k0, l0)
-    ks = [k0 + Fraction(i, 2) for i in range(8)]
-    ls = [l0 + Fraction(i, 2) for i in range(8)]
-    samples = []
-    ok = corner == 2
-    monotone = True
-    for k in ks:
-        for l in ls:
-            v = small_sigma_bound_value(k, l)
-            samples.append((k, l, v))
-            if (k, l) != (k0, l0) and v >= corner:
-                ok = False
-            if v <= Fraction(9, 8):
-                ok = False
-    # monotone decrease along each axis
-    for k_prev, k_next in zip(ks, ks[1:]):
-        if small_sigma_bound_value(k_next, l0) >= small_sigma_bound_value(k_prev, l0):
-            monotone = False
-    for l_prev, l_next in zip(ls, ls[1:]):
-        if small_sigma_bound_value(k0, l_next) >= small_sigma_bound_value(k0, l_prev):
-            monotone = False
-    return SmallSigmaReport(corner, tuple(samples), monotone, ok and monotone)
+    premises = all(c > 0 and d > 0 and x0 > 0 for c, d, x0 in SMALL_SIGMA_FACTORS)
+    corner = small_sigma_bound_value(*(x0 for _, _, x0 in SMALL_SIGMA_FACTORS))
+    return SmallSigmaReport(corner, premises and corner == 2)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +354,11 @@ def implied_k_l(
     case_id: str, lam: Fraction, mu: Fraction, sigma: Fraction
 ) -> tuple[Fraction, Fraction]:
     """The (k, l) values each case substitutes before taking the quadratic:
-    k at its active endpoint, l at the binding lower bound."""
+    k at its active endpoint, l at the binding lower bound.  sigma must lie
+    in the case's `sigma_interval`."""
+    lo, hi = sigma_interval(case_id)
+    if not lo <= sigma <= hi:
+        raise ValueError(f"sigma {sigma} outside {case_id}'s interval [{lo}, {hi}]")
     c_val, e_val = _envelope_pieces(_side_of(case_id), lam, mu, sigma)
     if case_id in (NEG_KMIN, POS_KMIN):
         k = 1 - lam * lam
@@ -401,6 +395,8 @@ def grid_points(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
     exactly even when they are not multiples."""
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
+    if lo > hi:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
     first = math.ceil(lo / step)
     vals = []
     i = first

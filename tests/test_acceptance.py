@@ -156,9 +156,14 @@ def test_criterion_7_small_sigma_corner():
     assert report.corner_value == 2
     assert report.corner_value == hermite_constant_power(3)
     assert report.ok
-    for k, l, value in report.samples:
-        if (k, l) != (Fr(3, 4), Fr(2, 3)):
-            assert value < 2
+    # the 8 x 8 grid of steps 1/2 up from the corner, as an oracle for the
+    # monotone-factor argument
+    for i in range(8):
+        for j in range(8):
+            value = small_sigma_bound_value(Fr(3, 4) + Fr(i, 2), Fr(2, 3) + Fr(j, 2))
+            if (i, j) != (0, 0):
+                assert value < 2
+            assert value > Fr(9, 8)
     assert small_sigma_bound_value(Fr(1), Fr(1)) == Fr(55, 32)
     assert time.time() - started < 1.0
     _report(7, "corner value (1+1/(4k))(9/8+1/(4l)) = 2 exactly at k=3/4, l=2/3", started)

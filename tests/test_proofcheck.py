@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -20,7 +22,7 @@ from hkzdefect import (
     verify_extremal_form,
     verify_small_sigma_bound,
 )
-from hkzdefect import proofcheck
+from hkzdefect import cli, proofcheck
 from hkzdefect.proofcheck import (
     ALL_CASES,
     NEG_KMAX,
@@ -142,7 +144,7 @@ def test_inequalities_as_hkz_oracle():
 
 def test_small_sigma_corner_is_two():
     report = verify_small_sigma_bound()
-    assert report.ok and report.monotone
+    assert report.ok
     assert report.corner_value == 2
 
 
@@ -151,6 +153,60 @@ def test_small_sigma_sample_value():
 
     assert small_sigma_bound_value(Fr(1), Fr(1)) == Fr(55, 32)
     assert small_sigma_bound_value(Fr(10**6), Fr(10**6)) > Fr(9, 8)
+
+
+def test_small_sigma_report_is_the_corner_and_the_verdict():
+    names = [f.name for f in dataclasses.fields(proofcheck.SmallSigmaReport)]
+    assert names == ["corner_value", "ok"]
+
+
+def test_small_sigma_evaluates_the_envelope_once(monkeypatch):
+    real = proofcheck.small_sigma_bound_value
+    calls = []
+
+    def counted(k, l):
+        calls.append((k, l))
+        return real(k, l)
+
+    monkeypatch.setattr(proofcheck, "small_sigma_bound_value", counted)
+    assert verify_small_sigma_bound().ok
+    assert calls == [(Fr(3, 4), Fr(2, 3))]
+
+
+_K_FACTOR_CONTROLS = {
+    # the k factor keeps its corner value 4/3 but increases, so the corner
+    # is a minimum in k and the envelope exceeds 2 further out
+    "d_negative": ((Fr(5, 3), Fr(-1, 4), Fr(3, 4)), Fr(2)),
+    # still decreasing and 4/3 at the corner, but no longer bounded below
+    # by a positive c, so the 9/8 floor is lost
+    "c_zero": ((Fr(0), Fr(1), Fr(3, 4)), Fr(2)),
+    # 4/3 at a corner k = -1/4, from which the factor passes a pole at 0
+    "corner_negative": ((Fr(7, 3), Fr(1, 4), Fr(-1, 4)), Fr(2)),
+    # the paper's factor taken from k = 2/3: the corner exceeds 2
+    "corner_at_two_thirds": ((Fr(1), Fr(1, 4), Fr(2, 3)), Fr(33, 16)),
+}
+
+
+@pytest.mark.parametrize("control", sorted(_K_FACTOR_CONTROLS))
+def test_small_sigma_negative_controls(control, monkeypatch, capsys):
+    k_factor, corner = _K_FACTOR_CONTROLS[control]
+    l_factor = proofcheck.SMALL_SIGMA_FACTORS[1]
+    monkeypatch.setattr(proofcheck, "SMALL_SIGMA_FACTORS", (k_factor, l_factor))
+    report = verify_small_sigma_bound()
+    assert report.corner_value == corner
+    assert not report.ok
+    if control == "d_negative":
+        assert proofcheck.small_sigma_bound_value(Fr(1), Fr(2, 3)) > 2
+    if control == "c_zero":
+        assert proofcheck.small_sigma_bound_value(Fr(10**6), Fr(10**6)) < Fr(9, 8)
+    assert cli.main(["verify-proof", "--step", "1/50"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["small_sigma"] == {
+        "corner_value": str(corner),
+        "passed": False,
+    }
+    assert all(case["passed"] for case in payload["cases"].values())
+    assert payload["all_passed"] is False
 
 
 # --- quadratic coefficients -------------------------------------------------
@@ -243,6 +299,23 @@ def test_grid_points_refuses_a_nonpositive_step(step):
     # a negative step would walk away from hi forever, and 0 divides by zero
     with pytest.raises(ValueError, match="grid step must be positive"):
         grid_points(Fr(1, 3), HALF, step)
+
+
+def test_grid_points_refuses_an_empty_interval():
+    with pytest.raises(ValueError, match=r"^empty interval \[1, 0\]$"):
+        grid_points(Fr(1), Fr(0), Fr(1, 10))
+    assert grid_points(Fr(1), Fr(1), Fr(1, 10)) == [Fr(1)]
+
+
+@pytest.mark.parametrize(
+    "case_id, sigma",
+    # the first two divided by zero; the third returned l = -87/64 for a
+    # sigma on the other side
+    [(NEG_KMAX, Fr(-1)), (POS_KMAX, Fr(1)), (NEG_KMIN, HALF)],
+)
+def test_implied_k_l_refuses_sigma_outside_the_case(case_id, sigma):
+    with pytest.raises(ValueError, match=f"^sigma {sigma} outside {case_id}'s"):
+        implied_k_l(case_id, Fr(1, 4), Fr(1, 4), sigma)
 
 
 @pytest.mark.parametrize("case_id", ["BOGUS", "NEG", "neg_kmin"])
