@@ -150,21 +150,21 @@ class BoundTable:
         return self.new_bound < self.lls_bound
 
 
+def bound_row(n: int) -> BoundTable:
+    """Every bound that applies at rank n, None where one does not."""
+    return BoundTable(
+        n=n,
+        gamma_pow=hermite_constant_power(n),
+        lls_bound=lls_bound(n),
+        new_bound=new_bound(n) if n >= 4 else None,
+        delta_exact=delta_exact(n) if n <= 3 else None,
+    )
+
+
 def bound_table(n_max: int) -> list[BoundTable]:
     """Rows for n = 1..n_max with every applicable bound, compared exactly."""
     hermite_constant_power(n_max)  # refuses n_max outside the table
-    rows = []
-    for n in range(1, n_max + 1):
-        rows.append(
-            BoundTable(
-                n=n,
-                gamma_pow=hermite_constant_power(n),
-                lls_bound=lls_bound(n),
-                new_bound=new_bound(n) if n >= 4 else None,
-                delta_exact=delta_exact(n) if n <= 3 else None,
-            )
-        )
-    return rows
+    return [bound_row(n) for n in range(1, n_max + 1)]
 
 
 def bound_table_csv(rows: list[BoundTable]) -> str:

@@ -14,7 +14,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bounds as bounds_mod
 from .bounds import (
     bound_table,
     bound_table_csv,
@@ -158,17 +157,14 @@ def cmd_minima(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.max_rank > bounds_mod.MAX_HERMITE_RANK:
-        print(
-            f"error: Hermite constant unknown for rank {args.max_rank}"
-            f" (known up to {bounds_mod.MAX_HERMITE_RANK})",
-            file=sys.stderr,
-        )
-        return EXIT_UNSUPPORTED
     if args.max_rank < 1:
         print("error: max rank must be positive", file=sys.stderr)
         return EXIT_INVALID
-    rows = bound_table(args.max_rank)
+    try:
+        rows = bound_table(args.max_rank)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     if args.format == "json":
         return _emit(bound_table_json(rows), args.out)
     elif args.format == "csv":

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import delta_exact, hermite_constant_power, lls_bound, new_bound
+from .bounds import BoundTable, bound_row
 from .core import (
     GramMatrix,
     NotPositiveDefiniteError,
@@ -50,7 +50,7 @@ class ExperimentConfig:
     entry_bound: int = 10
 
     def validate(self) -> "ExperimentConfig":
-        # every trial of rank >= 4 runs the chain check, which enumerates minima
+        # every trial under the split bound runs the chain, which enumerates minima
         if not 2 <= self.rank <= MAX_MINIMA_RANK:
             raise ValueError(f"rank must be in 2..{MAX_MINIMA_RANK}")
         if self.trials < 1:
@@ -94,7 +94,7 @@ class TrialRecord:
     gamma_pow: Fraction
     lls_bound: Fraction
     new_bound: Fraction | None
-    chain_ok: bool | None  # None below rank 4 (chain not applicable)
+    chain_ok: bool | None  # None where the split bound does not apply
     nodes: int
     reduced: GramMatrix
 
@@ -109,35 +109,26 @@ def _trial_gram(cfg: ExperimentConfig, trial: int) -> GramMatrix:
     return random_gram(cfg.rank, cfg.seed + trial, cfg.entry_bound)
 
 
-def _run_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
-    gram = _trial_gram(cfg, trial)
-    report = hkz_reduce(gram)
+def _run_trial(cfg: ExperimentConfig, trial: int, row: BoundTable) -> TrialRecord:
+    report = hkz_reduce(_trial_gram(cfg, trial))
     defect = report.defect
-    n = cfg.rank
-    lls = lls_bound(n)
-    newb = new_bound(n) if n >= 4 else None
-    if defect > lls:
-        raise ExperimentError(
-            f"defect {defect} exceeds product bound {lls}", trial
-        )
-    if newb is not None and defect > newb:
-        raise ExperimentError(
-            f"defect {defect} exceeds split bound {newb}", trial
-        )
-    if n <= 3 and defect > delta_exact(n):
-        raise ExperimentError(
-            f"defect {defect} exceeds exact maximum {delta_exact(n)}", trial
-        )
+    for name, bound in (
+        ("product bound", row.lls_bound),
+        ("split bound", row.new_bound),
+        ("exact maximum", row.delta_exact),
+    ):
+        if bound is not None and defect > bound:
+            raise ExperimentError(f"defect {defect} exceeds {name} {bound}", trial)
     chain_ok: bool | None = None
-    if n >= 4:
+    if row.new_bound is not None:
         chain_ok = check_defect_chain(report.reduced).ok
     return TrialRecord(
         trial=trial,
-        rank=n,
+        rank=cfg.rank,
         defect=defect,
-        gamma_pow=hermite_constant_power(n),
-        lls_bound=lls,
-        new_bound=newb,
+        gamma_pow=row.gamma_pow,
+        lls_bound=row.lls_bound,
+        new_bound=row.new_bound,
         chain_ok=chain_ok,
         nodes=report.total_nodes,
         reduced=report.reduced,
@@ -161,8 +152,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials in order in this process; every trial owns its own seed,
     so each record depends only on `cfg` and its trial index."""
     cfg.validate()
+    row = bound_row(cfg.rank)
     return ExperimentResult(
-        cfg, tuple(_run_trial(cfg, trial) for trial in range(cfg.trials))
+        cfg, tuple(_run_trial(cfg, trial, row) for trial in range(cfg.trials))
     )
 
 
@@ -201,6 +193,7 @@ def records_to_csv(records) -> str:
 
 def summary_json(result: ExperimentResult) -> str:
     cfg = result.config
+    row = bound_row(cfg.rank)
     best = result.max_defect_record()
     payload = {
         "rank": cfg.rank,
@@ -211,22 +204,23 @@ def summary_json(result: ExperimentResult) -> str:
         "max_defect_float": float(best.defect),
         "max_defect_trial": best.trial,
         "max_defect_gram": [
-            [format_rat(v) for v in row] for row in best.reduced.entries
+            [format_rat(v) for v in entries] for entries in best.reduced.entries
         ],
-        "gamma_pow": format_rat(hermite_constant_power(cfg.rank)),
-        "lls_bound": format_rat(lls_bound(cfg.rank)),
-        "new_bound": format_rat(new_bound(cfg.rank)) if cfg.rank >= 4 else None,
-        "delta_exact": format_rat(delta_exact(cfg.rank)) if cfg.rank <= 3 else None,
+        "gamma_pow": format_rat(row.gamma_pow),
+        "lls_bound": format_rat(row.lls_bound),
+        "new_bound": format_rat(row.new_bound) if row.new_bound is not None else None,
+        "delta_exact": (
+            format_rat(row.delta_exact) if row.delta_exact is not None else None
+        ),
         # reported, not asserted: whether the observed maximum stayed within
         # gamma_n^n, a proven lower bound on the maximal defect at ranks 4 to 6
-        # and this library's conjectured exact value for n >= 4
+        # and this library's conjectured exact value wherever no exact
+        # maximum is known
         "max_defect_le_gamma_pow": (
-            best.defect <= hermite_constant_power(cfg.rank)
-            if cfg.rank >= 4
-            else None
+            best.defect <= row.gamma_pow if row.delta_exact is None else None
         ),
         "all_chain_checks_ok": all(r.chain_ok for r in result.records)
-        if cfg.rank >= 4
+        if row.new_bound is not None
         else None,
     }
     return json.dumps(payload, indent=2)

@@ -757,11 +757,13 @@ def convexity_scan(
     """Sample the case region on a per_axis^4 grid of (lambda, mu, sigma, k)
     and require, at every point: recomputed numerator >= 0, exact second
     differences at steps h and h/2 both >= 0, float second difference
-    >= -1e-12.  Each verbatim numerator display is compared with the
-    recomputed numerator num2 of `_envelope_polys` as polynomials in
-    (lambda, mu, sigma, k), once per side (`_display_matches`).  With
-    `keep_samples` the certificate retains every per-point record.  This is
-    the one-case call of `_convexity_pass`, which verify-proof makes once.
+    >= -1e-12.  The float test is required on top of the exact ones, so it
+    can fail a certificate but never pass one.  Each verbatim numerator
+    display is compared with the recomputed numerator num2 of
+    `_envelope_polys` as polynomials in (lambda, mu, sigma, k), once per side
+    (`_display_matches`).  With `keep_samples` the certificate retains every
+    per-point record.  This is the one-case call of `_convexity_pass`, which
+    verify-proof makes once.
 
     The samples sit at k = k_top t/(per_axis + 1), t = 1..per_axis, with
     k_top = C/E and h = k_top/(4 (per_axis + 1)).  With lambda = i/L,

@@ -164,6 +164,7 @@ def test_bound_table_rows():
     assert rows[3].new_bound_is_sharper is True
     single = bound_table(1)
     assert len(single) == 1 and single[0].lls_bound == 1
+    assert bound_table(8) == [bounds.bound_row(n) for n in range(1, 9)]
 
 
 def test_bound_table_csv():

@@ -196,6 +196,24 @@ def test_bounds_unknown_rank(capsys):
     assert "Hermite constant unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "max_rank, code, message",
+    [
+        (0, 3, "max rank must be positive"),
+        (-1, 3, "max rank must be positive"),
+        (9, 4, "Hermite constant unknown for rank 9 (known up to 8)"),
+        (12, 4, "Hermite constant unknown for rank 12 (known up to 8)"),
+    ],
+)
+def test_bounds_refusals_exact(max_rank, code, message, fmt, capsys):
+    argv = ["bounds", "--max-rank", str(max_rank), "--format", fmt]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_bounds_json_roundtrip(capsys):
     assert cli.main(["bounds", "--max-rank", "5", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
@@ -16,9 +17,11 @@ from hkzdefect import (
     summary_json,
 )
 from hkzdefect import bounds, core, experiments, reduction
+from hkzdefect.core import GSOData
 from hkzdefect.experiments import _A2_GRAM, _trial_gram
 
 from conftest import patch_everywhere
+from test_root_lattices import DYNKIN, cartan_gram
 
 
 def test_random_gram_deterministic():
@@ -46,9 +49,39 @@ def test_chain_check_identity_rank4():
     )
     report = check_defect_chain(eye4)
     assert report.ok
-    assert report.leading_block_hkz
     for check in report.all_checks():
         assert check.holds
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+def test_certified_basis_has_a_certified_leading_block(rank):
+    # the chain relies on this instead of certifying the block itself: a
+    # prefix of an HKZ basis is HKZ
+    grams = [
+        hkz_reduce(random_gram(rank, 2300 + seed, 10)).reduced for seed in range(8)
+    ]
+    grams += [
+        hkz_reduce(cartan_gram(name)).reduced
+        for name, (n, _edges) in DYNKIN.items()
+        if n == rank
+    ]
+    for gram in grams:
+        assert is_hkz_reduced(gram).ok
+        gso = ldl(gram)
+        assert reduction._certify(GSOData(gso.mu[:3], gso.bstar[:3])).ok
+
+
+def test_chain_follows_the_bound_row(monkeypatch):
+    # the chain runs exactly where the split bound it proves applies
+    row = replace(bounds.bound_row(4), new_bound=None)
+    monkeypatch.setattr(experiments, "bound_row", lambda n: row)
+    result = run_experiment(ExperimentConfig(rank=4, trials=3, seed=9))
+    assert [record.chain_ok for record in result.records] == [None, None, None]
+    lines = records_to_csv(result.records).strip().splitlines()
+    assert all(line.split(",")[6:8] == ["", "n/a"] for line in lines[1:])
+    payload = json.loads(summary_json(result))
+    assert payload["new_bound"] is None
+    assert payload["all_chain_checks_ok"] is None
 
 
 def test_chain_check_random_reduced():
@@ -102,9 +135,9 @@ def test_run_experiment_rank4_chain_and_bounds():
 
 
 def test_each_trial_certified_once(monkeypatch):
-    # one certificate for the basis and one for its leading block, one
-    # full-rank minima enumeration and one factorization, per trial; the
-    # defect comes with the reduction, so no determinant is taken
+    # one certificate for the basis (its leading block needs none of its
+    # own), one full-rank minima enumeration and one factorization, per
+    # trial; the defect comes with the reduction, so no determinant is taken
     def no_determinant(*args):
         raise AssertionError("a trial took a determinant of its own")
 
@@ -139,7 +172,7 @@ def test_each_trial_certified_once(monkeypatch):
     monkeypatch.setattr(experiments, "check_defect_chain", counting_chain)
     result = run_experiment(ExperimentConfig(rank=5, trials=4, seed=1))
     assert all(record.chain_ok for record in result.records)
-    assert calls["certified"] == 8 and calls["full_minima"] == 4
+    assert calls["certified"] == 4 and calls["full_minima"] == 4
     assert chain_ldl == [1, 1, 1, 1]
 
 
