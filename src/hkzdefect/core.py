@@ -279,8 +279,12 @@ class Unimodular:
 
     @classmethod
     def from_rows(cls, rows) -> "Unimodular":
-        mat = tuple(tuple(int(v) for v in row) for row in rows)
+        mat = tuple(tuple(row) for row in rows)
         n = len(mat)
+        if n == 0:
+            raise ValueError("empty unimodular matrix")
+        if not all(isinstance(v, int) for row in mat for v in row):
+            raise ValueError("unimodular entries must be integers")
         if any(len(row) != n for row in mat):
             raise ValueError("unimodular matrix must be square")
         d = int_det([list(r) for r in mat])

@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 # sibling functions are read from their modules at call time: this module
@@ -570,11 +570,11 @@ def _envelope_polys(
         p(m) = (Cn S^2 m + i^2 En M) ((Cn + j^2) En M + Cn (s^2 - En) m).
 
     The numerator of f'' over Q^3, num2 = (P'Q - PQ')'Q - 2 (P'Q - PQ') Q'
-    (the quotient rule applied twice), is num_scale * num(m) with
-    num(m) = 2 p0 (M^2 - 3 M m + 3 m^2) + 2 (p1 + M p2) m^3.  Returns
-    (p, num, f_scale, num_scale, k_top): coefficients from the constant term
-    up, and three positive rationals as unreduced (numerator, denominator)
-    pairs of integers.
+    (the quotient rule applied twice), is num_scale * num(m), where num(m)
+    is the dot product of p with `_numerator_row(M, m)`.  Returns
+    (p, f_scale, num_scale, k_top): coefficients from the constant term up,
+    and three positive rationals as unreduced (numerator, denominator) pairs
+    of integers.
     """
     # (L^2 C, S^2 E); callers have already rejected an unknown side
     if side == "NEG":
@@ -583,14 +583,19 @@ def _envelope_polys(
         cn, en = big_l**2 - (i - j) ** 2, (big_s - s) ** 2
     a0, a1 = i * i * en * big_m, cn * big_s**2
     b0, b1 = (cn + j * j) * en * big_m, cn * (s * s - en)
-    p0, p1, p2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
     return (
-        [p0, p1, p2],
-        [2 * p0 * big_m**2, -6 * p0 * big_m, 6 * p0, 2 * (p1 + big_m * p2)],
+        (a0 * b0, a0 * b1 + a1 * b0, a1 * b1),
         (1, en * cn * cn * big_s**2),
         (cn * cn, big_l**8 * en * en * big_m**4),
         (a1, en * big_l**2),
     )
+
+
+def _numerator_row(big_m: int, m: int) -> tuple[int, int, int]:
+    """The weights of (p0, p1, p2) in the convexity numerator
+    num(m) = 2 p0 (M^2 - 3 M m + 3 m^2) + 2 (p1 + M p2) m^3 of `_envelope_polys`,
+    so that M num(m) = 2 [p(0) (M - m)^3 + p(M) m^3]."""
+    return 2 * (big_m * big_m - 3 * big_m * m + 3 * m * m), 2 * m**3, 2 * big_m * m**3
 
 
 def convexity_numerator(side: str, point: CasePoint) -> Fraction:
@@ -607,13 +612,12 @@ def convexity_numerator(side: str, point: CasePoint) -> Fraction:
         raise ValueError("outside case region: k and N(k) must be positive")
     big_l = math.lcm(lam.denominator, mu.denominator)
     ratio = k * e_val / c_val  # k/k_top = m/M
-    _p, num, _f_scale, (scale_num, scale_den), _k_top = _envelope_polys(
+    p, _f_scale, (scale_num, scale_den), _k_top = _envelope_polys(
         side, int(lam * big_l), int(mu * big_l), sigma.numerator,
         big_l, sigma.denominator, ratio.denominator,
     )
-    m = ratio.numerator
-    value = sum(coeff * m**d for d, coeff in enumerate(num))
-    return Fraction(scale_num * value, scale_den)
+    row = _numerator_row(ratio.denominator, ratio.numerator)
+    return Fraction(scale_num * sum(w * c for w, c in zip(row, p)), scale_den)
 
 
 def envelope_second_difference(
@@ -660,21 +664,10 @@ _DISPLAYS = {
 
 
 @dataclass(frozen=True)
-class ConvexitySample:
-    point: CasePoint
-    numerator: Fraction
-    second_difference: Fraction
-    second_difference_half: Fraction
-    float_check: float
-
-
-@dataclass(frozen=True)
 class ConvexityCertificate:
-    """Pointwise convexity evidence for one case's envelope function.
-
-    `samples` holds per-point records when requested; the minima fields
-    summarize the whole grid either way.
-    """
+    """Pointwise convexity evidence for one case's envelope function: how
+    many samples were checked, the least value of each check over them, and
+    the verdict of each verbatim numerator display."""
 
     case_id: str
     side: str
@@ -683,8 +676,6 @@ class ConvexityCertificate:
     min_second_difference: Fraction
     min_float_check: float
     display_matches: dict[str, bool]
-    worst_samples: tuple[ConvexitySample, ...] = field(default=())
-    samples: tuple[ConvexitySample, ...] = field(default=())
 
     @property
     def ok(self) -> bool:
@@ -695,31 +686,33 @@ class ConvexityCertificate:
         )
 
 
-def _difference_weights(q_poly, m_values) -> list[tuple]:
-    """What every triple of a convexity scan shares, one entry per m.
+def _sample_tables(q_poly, big_m, m_values):
+    """The integer rows every triple of a convexity pass shares, as weights
+    of the coefficients (p0, p1, p2) of its quadratic p.
 
-    An entry is (m, m^2, m^3, at_2, at_1); at_h = (w0, w1, w2, d) gives
-    p/q(m - h) - 2 p/q(m) + p/q(m + h) = (w0 p0 + w1 p1 + w2 p2)/d for every
-    quadratic p, with d = q(m - h) q(m) q(m + h).  q has the sign of
-    Q(k) = k N(k), and comparing second differences by cross-products needs
-    each q > 0.
+    Returns (num_rows, sd_rows, den).  num_rows holds `_numerator_row(M, m)`
+    for each m.  sd_rows holds, for each m and then h = 2, 1, a row r with
+    p/q(m - h) - 2 p/q(m) + p/q(m + h) = (r . p)/den for every quadratic p,
+    den being the lcm of the products q(m - h) q(m) q(m + h).  So a triple's
+    least numerator and least second difference are two integer minima.
+    q has the sign of Q(k) = k N(k), which must be positive at every abscissa.
     """
-    entries = []
+    steps = []
     for m in m_values:
-        entry = [m, m * m, m**3]
         for h in (2, 1):
             qa, qb, qc = (
                 (q_poly[2] * x + q_poly[1]) * x + q_poly[0] for x in (m - h, m, m + h)
             )
             if min(qa, qb, qc) <= 0:
                 raise ValueError("outside case region: k and N(k) must be positive")
-            weights = (
+            weights = [
                 (m - h) ** d * qb * qc - 2 * m**d * qa * qc + (m + h) ** d * qa * qb
                 for d in range(3)
-            )
-            entry.append((*weights, qa * qb * qc))
-        entries.append(tuple(entry))
-    return entries
+            ]
+            steps.append((weights, qa * qb * qc))
+    den = math.lcm(*(d for _weights, d in steps))
+    sd_rows = [tuple(w * (den // d) for w in weights) for weights, d in steps]
+    return [_numerator_row(big_m, m) for m in m_values], sd_rows, den
 
 
 @functools.cache
@@ -737,23 +730,13 @@ def _display_matches(side: str, displays: tuple) -> tuple[tuple[str, bool], ...]
     return tuple((name, fn(lam, mu, sigma, k) == num2) for name, fn in displays)
 
 
-@dataclass
-class _CaseTotals:
-    """One case's running totals; minima as (numerator, denominator > 0)."""
-
-    checked: int = 0
-    num: tuple[int, int] | None = None
-    sd: tuple[int, int] | None = None
-    float_check: float = math.inf
-    worst: ConvexitySample | None = None
-    kept: list[ConvexitySample] = field(default_factory=list)
+def _smaller(old, new):
+    """The smaller of two rationals held as (numerator, denominator > 0);
+    `old` may be None."""
+    return new if old is None or new[0] * old[1] < old[0] * new[1] else old
 
 
-def convexity_scan(
-    case_id: str,
-    per_axis: int = 10,
-    keep_samples: bool = False,
-) -> ConvexityCertificate:
+def convexity_scan(case_id: str, per_axis: int = 10) -> ConvexityCertificate:
     """Sample the case region on a per_axis^4 grid of (lambda, mu, sigma, k)
     and require, at every point: recomputed numerator >= 0, exact second
     differences at steps h and h/2 both >= 0, float second difference
@@ -761,9 +744,8 @@ def convexity_scan(
     can fail a certificate but never pass one.  Each verbatim numerator
     display is compared with the recomputed numerator num2 of
     `_envelope_polys` as polynomials in (lambda, mu, sigma, k), once per side
-    (`_display_matches`).  With `keep_samples` the certificate retains every
-    per-point record.  This is the one-case call of `_convexity_pass`, which
-    verify-proof makes once.
+    (`_display_matches`).  This is the one-case call of `_convexity_pass`,
+    which verify-proof makes once.
 
     The samples sit at k = k_top t/(per_axis + 1), t = 1..per_axis, with
     k_top = C/E and h = k_top/(4 (per_axis + 1)).  With lambda = i/L,
@@ -771,43 +753,34 @@ def convexity_scan(
     all five abscissae k - h, k - h/2, k, k + h/2, k + h are k_top m/M for
     integers m and M = 8 (per_axis + 1), and the envelope is p(m)/q(m) over
     a positive scale of the triple, with q the same for every triple
-    (`_envelope_polys`).  So the weights of p in both second differences are
-    tabulated once per pass (`_difference_weights`), each sample is a few
-    integer dot products and cross-products, and a `Fraction` is built only
-    for the minima and reported samples.
+    (`_envelope_polys`).  Every exact value at a sample is then a fixed
+    linear form in the three coefficients of p, and the second differences
+    share one denominator.  So the forms are tabulated once per pass
+    (`_sample_tables`), a triple's exact checks are two integer minima over
+    the table, and a `Fraction` is built only for each certificate's minima.
     """
-    return _convexity_pass((case_id,), per_axis, keep_samples)[0]
+    return _convexity_pass((case_id,), per_axis)[0]
 
 
-def _convexity_pass(cases: tuple[str, ...], per_axis: int, keep_samples: bool):
+def _convexity_pass(cases: tuple[str, ...], per_axis: int):
     """The `convexity_scan` certificates of `cases`, in order.  The cases of a
     side share the envelope, the sigma interval and the grid, and a k-minimal
     region lies inside its k-maximal one.  So one pass per side evaluates
     each triple of the union of the requested regions once, and folds its
-    row summary into the totals of every requested case whose region holds
-    it, in the order a one-case scan would meet it."""
+    row minima into the totals of every requested case whose region holds
+    it."""
     sides = {case_id: _side_of(case_id) for case_id in cases}
     if per_axis < 2:
         raise ValueError(f"per_axis must be at least 2, got {per_axis}")
     big_l, big_s, parts = 2 * (per_axis - 1), 6 * (per_axis - 1), per_axis + 1
     big_m = 8 * parts
     # sample t at m = 8t, k -+ h at m -+ 2 and k -+ h/2 at m -+ 1
-    shared = _difference_weights((0, big_m, -1), range(8, big_m, 8))
-
-    def exact(t, num, sd, sd_half, fcheck) -> ConvexitySample:
-        # the record of sample t of the current triple as rationals
-        lam, mu, sigma = Fraction(i, big_l), Fraction(j, big_l), Fraction(s, big_s)
-        c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
-        k = Fraction(k_num * t, k_den)
-        return ConvexitySample(
-            CasePoint(lam, mu, sigma, k, c_val - k * e_val),
-            Fraction(scale_num * num, scale_den),
-            Fraction(f_num * sd[0], f_den * sd[1]),
-            Fraction(f_num * sd_half[0], f_den * sd_half[1]),
-            fcheck,
-        )
-
-    totals = {case_id: _CaseTotals() for case_id in cases}
+    num_rows, sd_rows, sd_den = _sample_tables(
+        (0, big_m, -1), big_m, range(8, big_m, 8)
+    )
+    # per case: samples checked, the least numerator and second difference
+    # as (numerator, denominator > 0), the least float check
+    totals = {case_id: [0, None, None, math.inf] for case_id in cases}
     own = {side: [c for c in sides if sides[c] == side] for side in sides.values()}
     first_s = {side: int(sigma_interval(own[side][0])[0] * big_s) for side in own}
     for side, i, j in itertools.product(own, range(per_axis), range(per_axis)):
@@ -817,29 +790,19 @@ def _convexity_pass(cases: tuple[str, ...], per_axis: int, keep_samples: bool):
         if not holders:
             continue
         for s in range(first_s[side], first_s[side] + per_axis):
-            (
-                (p0, p1, p2),
-                (n0, n1, n2, n3),
-                (f_num, f_den),
-                (scale_num, scale_den),
-                (k_num, k_den),
-            ) = _envelope_polys(side, i, j, s, big_l, big_s, big_m)
+            (p0, p1, p2), (f_num, f_den), (scale_num, scale_den), (k_num, k_den) = (
+                _envelope_polys(side, i, j, s, big_l, big_s, big_m)
+            )
             k_den *= parts
             # `_envelope_value_float` with the same operations in the same order,
-            # so each float_check is bit for bit the float second difference;
+            # so each fcheck is bit for bit the float second difference;
             # int / int division rounds k and h correctly
             lam_f, mu_f, sigma_f = i / big_l, j / big_l, s / big_s
             c_f, e_f = _envelope_pieces(side, lam_f, mu_f, sigma_f)
             lam2, mu2 = lam_f * lam_f, mu_f * mu_f
             h_float = k_num / (4 * k_den)
-            best = row_min = None
-            row_float, row_kept = math.inf, []
-            for t, (m, m2, m3, (w0, w1, w2, d), (v0, v1, v2, d_half)) in enumerate(
-                shared, 1
-            ):
-                num = n0 + n1 * m + n2 * m2 + n3 * m3
-                sd = p0 * w0 + p1 * w1 + p2 * w2
-                sd_half = p0 * v0 + p1 * v1 + p2 * v2
+            row_float = math.inf
+            for t in range(1, parts):
                 k = k_num * t / k_den
                 lo, hi = k - h_float, k + h_float
                 fcheck = (
@@ -853,48 +816,28 @@ def _convexity_pass(cases: tuple[str, ...], per_axis: int, keep_samples: bool):
                     + (1.0 + lam2 / hi)
                     * (1.0 + (mu2 + hi * sigma_f * sigma_f) / (c_f - hi * e_f))
                 )
-                if keep_samples:
-                    row_kept.append(exact(t, num, (sd, d), (sd_half, d_half), fcheck))
-                if sd_half * d < sd * d_half:
-                    low_sd, low_d = sd_half, d_half
-                else:
-                    low_sd, low_d = sd, d
-                if best is None or low_sd * best_d < best_sd * low_d:
-                    best = (t, num, (sd, d), (sd_half, d_half), fcheck)
-                    best_sd, best_d = low_sd, low_d
-                if row_min is None or num < row_min:
-                    row_min = num
                 if fcheck < row_float:
                     row_float = fcheck
-            # fold the row into the totals of each case that holds the triple
-            row_num = (scale_num * row_min, scale_den)
-            row_sd = (f_num * best_sd, f_den * best_d)
+            row_num = min([p0 * a + p1 * b + p2 * c for a, b, c in num_rows])
+            row_sd = min([p0 * a + p1 * b + p2 * c for a, b, c in sd_rows])
             for total in holders:
-                total.checked += len(shared)
-                old = total.num
-                if old is None or row_num[0] * old[1] < old[0] * row_num[1]:
-                    total.num = row_num
-                old = total.sd
-                if old is None or row_sd[0] * old[1] < old[0] * row_sd[1]:
-                    total.sd = row_sd
-                    total.worst = exact(*best)
-                total.float_check = min(total.float_check, row_float)
-                total.kept += row_kept
+                total[0] += len(num_rows)
+                total[1] = _smaller(total[1], (scale_num * row_num, scale_den))
+                total[2] = _smaller(total[2], (f_num * row_sd, f_den * sd_den))
+                total[3] = min(total[3], row_float)
     certificates = {}
-    for case_id, total in totals.items():
-        if total.num is None:
+    for case_id, (checked, num, sd, float_check) in totals.items():
+        if num is None:
             raise RuntimeError(f"empty convexity region for {case_id}")
         side = sides[case_id]
         certificates[case_id] = ConvexityCertificate(
             case_id=case_id,
             side=side,
-            samples_checked=total.checked,
-            min_numerator=Fraction(*total.num),
-            min_second_difference=Fraction(*total.sd),
-            min_float_check=total.float_check,
+            samples_checked=checked,
+            min_numerator=Fraction(*num),
+            min_second_difference=Fraction(*sd),
+            min_float_check=float_check,
             display_matches=dict(_display_matches(side, _DISPLAYS[side])),
-            worst_samples=(total.worst,),
-            samples=tuple(total.kept),
         )
     return tuple(certificates[case_id] for case_id in cases)
 
@@ -981,7 +924,7 @@ def run_full_verification(
     started = time.perf_counter()
     scans = tuple(scan_case(case_id, grid_step) for case_id in cases)
     small = verify_small_sigma_bound()
-    convexity = _convexity_pass(cases, per_axis=10, keep_samples=False)
+    convexity = _convexity_pass(cases, per_axis=10)
     extremal = verify_extremal_form()
     return VerificationResult(
         grid_step=Fraction(grid_step),

@@ -318,18 +318,19 @@ def test_verify_proof_corrupted_coefficients(monkeypatch, capsys):
 
 def test_verify_proof_corrupted_convexity(monkeypatch, capsys):
     # negative control: flip the envelope of the first (lambda, mu, sigma)
-    # triple only; its second differences turn negative and nothing else does
+    # triple only; its numerator and second differences, all linear in its
+    # quadratic p, turn negative, and nothing else does
     from hkzdefect import proofcheck
 
     real = proofcheck._envelope_polys
     calls = []
 
     def corrupted(*args):
-        p_poly, num_poly, f_scale, num_scale, k_top = real(*args)
+        p_poly, f_scale, num_scale, k_top = real(*args)
         calls.append(args)
         if len(calls) == 1:
             p_poly = [-coeff for coeff in p_poly]
-        return p_poly, num_poly, f_scale, num_scale, k_top
+        return p_poly, f_scale, num_scale, k_top
 
     monkeypatch.setattr(proofcheck, "_envelope_polys", corrupted)
     code = cli.main(["verify-proof", "--step", "1/50", "--case", "NEG_KMIN"])
@@ -340,7 +341,7 @@ def test_verify_proof_corrupted_convexity(monkeypatch, capsys):
     cert = payload["convexity"]["NEG_KMIN"]
     assert cert["passed"] is False
     assert Fr(cert["min_second_difference"]) < 0
-    assert Fr(cert["min_numerator"]) >= 0
+    assert Fr(cert["min_numerator"]) < 0
     assert cert["min_float_check"] >= -1e-12
 
 

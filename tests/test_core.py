@@ -125,6 +125,21 @@ def test_unimodular_rejects_non_unit_determinant():
         Unimodular.from_rows([[2, 0], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1.5]], "must be integers"),  # int() would truncate it to the identity
+        ([[1.0, 0], [0, 1]], "must be integers"),
+        ([[Fr(1), 0], [0, 1]], "must be integers"),
+        ([], "empty"),
+        ([[1, 0], [0]], "square"),
+    ],
+)
+def test_unimodular_refuses_non_integer_and_empty_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        Unimodular.from_rows(rows)
+
+
 def test_determinant_examples(identity3, extremal_plus, hexagonal):
     assert determinant(identity3) == 1
     assert determinant(extremal_plus) == Fr(3, 4)

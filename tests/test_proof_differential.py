@@ -5,8 +5,10 @@ built only from public functions: the coefficients of `case_quadratic`,
 evaluated exactly at every grid point of each row, and `convexity_numerator`
 with `envelope_second_difference` and `envelope_second_difference_float` at
 every sample.  The library scans bound each row by its exact maximum and
-share one integer weight table per convexity scan instead, so every field of
-both reports must agree exactly, apart from `wall_time`.  `case_quadratic`
+share one integer table per convexity pass instead, so every field of both
+reports must agree exactly, apart from `wall_time`.  The convexity
+certificate holds only minima, so `test_sample_tables_are_exact_per_point`
+checks every row of that table against the exact value it stands for.  `case_quadratic`
 reads the same integer coefficients the scan evaluates, so `reference_scan`
 checks the scan itself (row maxima, region, ties).  `conftest.integer_scan`
 is the integer scan with one direct `scaled_case_coefficients` call per row,
@@ -15,7 +17,7 @@ the oracle for the finite-difference stepping along mu.
 coefficients against the defect formula as polynomial identities.  The
 display findings are polynomial identities too: each verbatim numerator
 display minus the recomputed numerator, on `Poly` variables.
-`rational_convexity` is the previous library `convexity_scan`, which built
+`rational_convexity` is an earlier library `convexity_scan`, which built
 each triple's polynomials from `Fraction`s, kept as a second oracle.
 `_convexity_pass` serves several cases in one pass per side; each of its
 certificates is compared with the one-case `convexity_scan`.
@@ -37,7 +39,6 @@ from hkzdefect.proofcheck import (
     QUARTER,
     CasePoint,
     ConvexityCertificate,
-    ConvexitySample,
     case_quadratic,
     case_region_contains,
     convexity_numerator,
@@ -161,16 +162,15 @@ def reference_scan(case_id, grid_step):
 
 
 def reference_convexity(case_id, per_axis, compare_displays=200):
-    """The certificate with every sample kept."""
+    """The certificate, from one exact evaluation per sample."""
     side = "NEG" if case_id.startswith("NEG") else "POS"
     lo, hi = sigma_interval(case_id)
     lam_grid = [Fr(i, 2 * (per_axis - 1)) for i in range(per_axis)]
     sig_grid = [lo + (hi - lo) * Fr(i, per_axis - 1) for i in range(per_axis)]
     checked = 0
-    min_num = min_sd = worst = None
+    min_num = min_sd = None
     min_float = math.inf
     matches = {name: True for name, _fn in DISPLAYS[side]}
-    kept = []
     for lam in lam_grid:
         for mu in lam_grid:
             if not reference_region(case_id, lam, mu):
@@ -190,7 +190,6 @@ def reference_convexity(case_id, per_axis, compare_displays=200):
                     sd_half = envelope_second_difference(side, point, h / 2)
                     fcheck = envelope_second_difference_float(side, point, float(h))
                     checked += 1
-                    kept.append(ConvexitySample(point, num, sd, sd_half, fcheck))
                     if checked <= compare_displays:
                         for name, fn in DISPLAYS[side]:
                             if matches[name] and fn(lam, mu, sigma, k) != num:
@@ -199,7 +198,6 @@ def reference_convexity(case_id, per_axis, compare_displays=200):
                         min_num = num
                     if min_sd is None or min(sd, sd_half) < min_sd:
                         min_sd = min(sd, sd_half)
-                        worst = kept[-1]
                     min_float = min(min_float, fcheck)
     return ConvexityCertificate(
         case_id=case_id,
@@ -209,8 +207,6 @@ def reference_convexity(case_id, per_axis, compare_displays=200):
         min_second_difference=min_sd,
         min_float_check=min_float,
         display_matches=matches,
-        worst_samples=(worst,),
-        samples=tuple(kept),
     )
 
 
@@ -286,14 +282,9 @@ def test_scan_case_stepping_check_catches_degree_five(monkeypatch, coeff):
 @pytest.mark.parametrize("per_axis", [3, 4, 5])
 def test_convexity_scan_matches_fraction_scan(case_id, per_axis):
     expected = reference_convexity(case_id, per_axis)
-    kept = convexity_scan(case_id, per_axis, keep_samples=True)
-    assert kept == expected
-    summary = convexity_scan(case_id, per_axis)
-    assert summary == dataclasses.replace(expected, samples=())
-    for cert in (kept, summary):
-        assert float_bits(cert.min_float_check) == float_bits(expected.min_float_check)
-    for got, want in zip(kept.samples, expected.samples):
-        assert float_bits(got.float_check) == float_bits(want.float_check)
+    cert = convexity_scan(case_id, per_axis)
+    assert cert == expected
+    assert float_bits(cert.min_float_check) == float_bits(expected.min_float_check)
 
 
 @pytest.mark.parametrize("case_id", ALL_CASES)
@@ -412,19 +403,18 @@ def test_scan_tie_rule_keeps_the_first_point(monkeypatch):
 
 
 def test_convexity_tie_rule_keeps_the_first_sample(monkeypatch):
-    # P = 0 makes the envelope vanish: every second difference ties at 0 and
-    # the worst sample is the first one of the scan
+    # P = 0 makes the envelope vanish: every numerator and second difference
+    # ties at 0, and a tie reports that value whichever sample attains it
     real = proofcheck._envelope_polys
 
     def flat(*args):
-        _p, num_poly, f_scale, num_scale, k_top = real(*args)
-        return [0, 0, 0], num_poly, f_scale, num_scale, k_top
+        _p, f_scale, num_scale, k_top = real(*args)
+        return (0, 0, 0), f_scale, num_scale, k_top
 
     monkeypatch.setattr(proofcheck, "_envelope_polys", flat)
     for case_id in ALL_CASES:
-        cert = convexity_scan(case_id, 4, keep_samples=True)
-        assert cert.min_second_difference == 0
-        assert cert.worst_samples == (cert.samples[0],)
+        cert = convexity_scan(case_id, 4)
+        assert cert.min_second_difference == cert.min_numerator == 0
 
 
 @pytest.mark.parametrize(
@@ -432,15 +422,82 @@ def test_convexity_tie_rule_keeps_the_first_sample(monkeypatch):
 )
 def test_convexity_scan_rejects_a_nonpositive_denominator(monkeypatch, poison):
     # Q(k) = k N(k) must be positive before it divides anything; q(m), its
-    # form shared by every triple, is handed to the weight table
-    real = proofcheck._difference_weights
+    # form shared by every triple, is handed to the sample tables
+    real = proofcheck._sample_tables
 
-    def poisoned(q_poly, m_values):
-        return real([poison(c) for c in q_poly], m_values)
+    def poisoned(q_poly, big_m, m_values):
+        return real([poison(c) for c in q_poly], big_m, m_values)
 
-    monkeypatch.setattr(proofcheck, "_difference_weights", poisoned)
+    monkeypatch.setattr(proofcheck, "_sample_tables", poisoned)
     with pytest.raises(ValueError, match="outside case region"):
         convexity_scan("POS_KMAX", 3)
+
+
+# --- the sample tables, row by row ------------------------------------------
+
+# quadratics p = (p0, p1, p2), each coefficient reached alone; -1 and the last
+# one make the second differences of p/q negative
+TABLE_POLYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, -7, 2), (-5, 11, -13), (-1, 0, 0)]
+
+
+def dot(row, p):
+    return sum(w * c for w, c in zip(row, p, strict=True))
+
+
+def exact_table_values(big_m, m_values):
+    """Per polynomial of TABLE_POLYS: M num(m) = 2 [p(0) (M - m)^3 + p(M) m^3]
+    for each m, and the exact second difference of p/q with q(x) = x (M - x),
+    for each m and then h = 2, 1."""
+    nums, sds = [], []
+    for p0, p1, p2 in TABLE_POLYS:
+        def value(x):
+            return (p2 * x + p1) * x + p0
+
+        def ratio(x):
+            return Fr(value(x), x * (big_m - x))
+
+        nums.append([2 * (value(0) * (big_m - m) ** 3 + value(big_m) * m**3) for m in m_values])
+        sds.append([
+            ratio(m - h) - 2 * ratio(m) + ratio(m + h) for m in m_values for h in (2, 1)
+        ])
+    return nums, sds
+
+
+def table_errors(num_rows, sd_rows, den, big_m, expected):
+    """(kind, row index) of every row that misses its exact value for some
+    polynomial of TABLE_POLYS."""
+    nums, sds = expected
+    errors = set()
+    for p, num_values, sd_values in zip(TABLE_POLYS, nums, sds, strict=True):
+        for t, (row, want) in enumerate(zip(num_rows, num_values, strict=True)):
+            if big_m * dot(row, p) != want:
+                errors.add(("num", t))
+        for t, (row, want) in enumerate(zip(sd_rows, sd_values, strict=True)):
+            if Fr(dot(row, p), den) != want:
+                errors.add(("sd", t))
+    return sorted(errors)
+
+
+@pytest.mark.parametrize("per_axis", range(2, 11))
+def test_sample_tables_are_exact_per_point(per_axis):
+    # each row of the pass's table stands for one exact value at one sample;
+    # the certificate keeps only their minima, so every row is checked here
+    big_m = 8 * (per_axis + 1)
+    m_values = range(8, big_m, 8)
+    num_rows, sd_rows, den = proofcheck._sample_tables((0, big_m, -1), big_m, m_values)
+    assert (len(num_rows), len(sd_rows)) == (per_axis, 2 * per_axis)
+    expected = exact_table_values(big_m, m_values)
+    assert table_errors(num_rows, sd_rows, den, big_m, expected) == []
+    assert min(min(values) for values in expected[1]) < 0 < max(map(max, expected[1]))
+    # control: adding 1 to any one weight fails that row, and only that row
+    for kind, rows in (("num", num_rows), ("sd", sd_rows)):
+        for index, row in enumerate(rows):
+            for d in range(3):
+                bumped = list(rows)
+                bumped[index] = tuple(w + (e == d) for e, w in enumerate(row))
+                tables = (bumped, sd_rows) if kind == "num" else (num_rows, bumped)
+                errors = table_errors(*tables, den, big_m, expected)
+                assert errors == [(kind, index)]
 
 
 # --- the shared convexity pass ------------------------------------------------
@@ -451,19 +508,16 @@ SIDE_PAIRS = [("NEG_KMIN", "NEG_KMAX"), ("POS_KMIN", "POS_KMAX")]
 def assert_same_certificate(got, want):
     assert got == want
     assert repr(got.min_float_check) == repr(want.min_float_check)
-    for got_sample, want_sample in zip(got.samples, want.samples, strict=True):
-        assert repr(got_sample.float_check) == repr(want_sample.float_check)
 
 
 @pytest.mark.parametrize("pair", SIDE_PAIRS, ids=["NEG", "POS"])
 @pytest.mark.parametrize("per_axis", [2, 3, 4, 5, 10])
-@pytest.mark.parametrize("keep_samples", [False, True], ids=["summary", "kept"])
-def test_shared_convexity_pass_matches_one_case_scans(pair, per_axis, keep_samples):
+def test_shared_convexity_pass_matches_one_case_scans(pair, per_axis):
     # one pass over the k-maximal region serves the k-minimal case inside it;
     # each certificate must be the one-case scan's, field by field
-    alone = [convexity_scan(case_id, per_axis, keep_samples) for case_id in pair]
+    alone = [convexity_scan(case_id, per_axis) for case_id in pair]
     for order in (1, -1):
-        shared = proofcheck._convexity_pass(pair[::order], per_axis, keep_samples)
+        shared = proofcheck._convexity_pass(pair[::order], per_axis)
         for cert, want in zip(shared, alone[::order], strict=True):
             assert_same_certificate(cert, want)
 
@@ -486,24 +540,19 @@ def test_full_verification_returns_certificates_in_case_order(cases):
 
 def test_shared_pass_tie_rule_keeps_each_case_first_sample(monkeypatch):
     # as `test_convexity_tie_rule_keeps_the_first_sample`, through one pass
-    # for all four cases: a k-minimal case's worst sample is the first of its
-    # own region, not the first of the k-maximal region around it
+    # for all four cases: each case's tied minimum is 0, as its own scan's
     real = proofcheck._envelope_polys
 
     def flat(*args):
-        _p, num_poly, f_scale, num_scale, k_top = real(*args)
-        return [0, 0, 0], num_poly, f_scale, num_scale, k_top
+        _p, f_scale, num_scale, k_top = real(*args)
+        return (0, 0, 0), f_scale, num_scale, k_top
 
     monkeypatch.setattr(proofcheck, "_envelope_polys", flat)
-    certs = proofcheck._convexity_pass(ALL_CASES, 4, keep_samples=True)
+    certs = proofcheck._convexity_pass(ALL_CASES, 4)
     for cert, case_id in zip(certs, ALL_CASES, strict=True):
         assert cert.case_id == case_id
-        assert cert.min_second_difference == 0
-        assert cert.worst_samples == (cert.samples[0],)
-        assert cert == convexity_scan(case_id, 4, keep_samples=True)
-    # NEG_KMIN starts at lambda = 1/4; both POS regions hold lambda = mu = 0
-    firsts = {cert.case_id: cert.samples[0].point for cert in certs}
-    assert firsts["NEG_KMIN"] != firsts["NEG_KMAX"]
+        assert cert.min_second_difference == cert.min_numerator == 0
+        assert cert == convexity_scan(case_id, 4)
 
 
 # --- row maxima ---------------------------------------------------------------
@@ -639,34 +688,19 @@ def _second_difference_float(side, lam, mu, sigma, k, step):
     )
 
 
-def _ratio_less(x, y):
-    return x[0] * y[1] < y[0] * x[1]
-
-
 def rational_convexity(case_id, per_axis):
-    """The certificate with every sample kept, as the library computed it
-    before the weight table: one Fraction setup per (lambda, mu, sigma)."""
+    """The certificate as the library computed it before its integer tables:
+    one Fraction setup per (lambda, mu, sigma), and each sample's exact
+    values compared as Fractions."""
     side = "NEG" if case_id.startswith("NEG") else "POS"
     lo, hi = sigma_interval(case_id)
     lam_grid = [Fr(i, 2 * (per_axis - 1)) for i in range(per_axis)]
     sig_grid = [lo + (hi - lo) * Fr(i, per_axis - 1) for i in range(per_axis)]
     parts = per_axis + 1
     checked = 0
-    min_num = min_sd = worst = None
+    min_num = min_sd = None
     min_float = math.inf
     matches = {name: True for name, _fn in DISPLAYS[side]}
-    kept = []
-
-    def exact(t, num, sd, sd_half, fcheck):
-        k = k_top * Fr(t, parts)
-        return ConvexitySample(
-            CasePoint(lam, mu, sigma, k, c_val - k * e_val),
-            num_scale * num,
-            f_scale * Fr(*sd),
-            f_scale * Fr(*sd_half),
-            fcheck,
-        )
-
     triples = [
         (lam, mu, sigma)
         for lam in lam_grid
@@ -696,28 +730,19 @@ def rational_convexity(case_id, per_axis):
             sd = _second_difference_scaled(p_poly, q_poly, m, 2)
             sd_half = _second_difference_scaled(p_poly, q_poly, m, 1)
             row.append((t, num, sd, sd_half, fcheck))
-        best = best_low = None
-        for record in row:
+        for t, num, sd, sd_half, fcheck in row:
             checked += 1
-            sample = exact(*record)
-            kept.append(sample)
             if checked <= 200:
+                k = k_top * Fr(t, parts)
                 for name, fn in DISPLAYS[side]:
-                    k = sample.point.k
-                    if matches[name] and fn(lam, mu, sigma, k) != sample.numerator:
+                    if matches[name] and fn(lam, mu, sigma, k) != num_scale * num:
                         matches[name] = False
-            _t, _num, sd, sd_half, fcheck = record
-            low = sd_half if _ratio_less(sd_half, sd) else sd
-            if best is None or _ratio_less(low, best_low):
-                best, best_low = record, low
+            low = f_scale * min(Fr(*sd), Fr(*sd_half))
+            if min_sd is None or low < min_sd:
+                min_sd = low
+            if min_num is None or num_scale * num < min_num:
+                min_num = num_scale * num
             min_float = min(min_float, fcheck)
-        row_min_num = num_scale * min(record[1] for record in row)
-        if min_num is None or row_min_num < min_num:
-            min_num = row_min_num
-        row_min_sd = f_scale * Fr(*best_low)
-        if min_sd is None or row_min_sd < min_sd:
-            min_sd = row_min_sd
-            worst = exact(*best)
     return ConvexityCertificate(
         case_id=case_id,
         side=side,
@@ -726,8 +751,6 @@ def rational_convexity(case_id, per_axis):
         min_second_difference=min_sd,
         min_float_check=min_float,
         display_matches=matches,
-        worst_samples=(worst,),
-        samples=tuple(kept),
     )
 
 
@@ -735,15 +758,9 @@ def rational_convexity(case_id, per_axis):
 @pytest.mark.parametrize("per_axis", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_convexity_scan_matches_rational_scan(case_id, per_axis):
     expected = rational_convexity(case_id, per_axis)
-    kept = convexity_scan(case_id, per_axis, keep_samples=True)
-    summary = convexity_scan(case_id, per_axis)
-    assert kept == expected
-    assert summary == dataclasses.replace(expected, samples=())
-    for cert in (kept, summary):
-        assert repr(cert.min_float_check) == repr(expected.min_float_check)
-    assert len(kept.samples) == len(expected.samples) == expected.samples_checked
-    for got, want in zip(kept.samples, expected.samples):
-        assert repr(got.float_check) == repr(want.float_check)
+    cert = convexity_scan(case_id, per_axis)
+    assert cert == expected
+    assert repr(cert.min_float_check) == repr(expected.min_float_check)
 
 
 def corrupted_pos_sum(lam, mu, sigma, k):

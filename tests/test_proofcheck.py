@@ -513,15 +513,6 @@ def test_convexity_scan_small_grid():
             assert cert.display_matches["pos_sum"] is True
 
 
-def test_convexity_scan_retains_samples_on_request():
-    cert = convexity_scan("NEG_KMIN", per_axis=3, keep_samples=True)
-    assert len(cert.samples) == cert.samples_checked
-    for sample in cert.samples:
-        assert sample.numerator >= 0
-        assert sample.second_difference >= 0
-        assert sample.second_difference_half >= 0
-
-
 def test_verify_proof_evaluates_each_convexity_triple_once(monkeypatch):
     # the four regions hold 2,830 triples (28,300 samples); the k-minimal ones
     # lie inside the k-maximal ones, whose union is 990 + 1,000 = 1,990
