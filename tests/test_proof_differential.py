@@ -20,7 +20,8 @@ display minus the recomputed numerator, on `Poly` variables.
 `rational_convexity` is an earlier library `convexity_scan`, which built
 each triple's polynomials from `Fraction`s, kept as a second oracle.
 `_convexity_pass` serves several cases in one pass per side; each of its
-certificates is compared with the one-case `convexity_scan`.
+certificates is compared with the one-case `convexity_scan` and with
+`rational_convexity`.
 """
 
 import dataclasses
@@ -512,10 +513,14 @@ def assert_same_certificate(got, want):
 
 @pytest.mark.parametrize("pair", SIDE_PAIRS, ids=["NEG", "POS"])
 @pytest.mark.parametrize("per_axis", [2, 3, 4, 5, 10])
-def test_shared_convexity_pass_matches_one_case_scans(pair, per_axis):
+@pytest.mark.parametrize("oracle", ["summary", "kept"])
+def test_shared_convexity_pass_matches_one_case_scans(pair, per_axis, oracle):
     # one pass over the k-maximal region serves the k-minimal case inside it;
-    # each certificate must be the one-case scan's, field by field
-    alone = [convexity_scan(case_id, per_axis) for case_id in pair]
+    # each certificate must be the one-case one, field by field: the library
+    # scan's ("summary"), or that of `rational_convexity`, which keeps every
+    # sample's exact values as Fractions and compares them one by one ("kept")
+    one_case = convexity_scan if oracle == "summary" else rational_convexity
+    alone = [one_case(case_id, per_axis) for case_id in pair]
     for order in (1, -1):
         shared = proofcheck._convexity_pass(pair[::order], per_axis)
         for cert, want in zip(shared, alone[::order], strict=True):
