@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import prod
 
 from .core import GramMatrix, determinant, format_rat
 from .reduction import MAX_MINIMA_RANK, shortest_vector
@@ -47,10 +48,7 @@ _DELTA_EXACT = {
 
 def orthogonality_defect(gram: GramMatrix) -> Fraction:
     """prod_i ||b_i||^2 / det(G); equals 1 exactly iff the basis is orthogonal."""
-    num = Fraction(1)
-    for d in gram.diagonal():
-        num *= d
-    return num / determinant(gram)
+    return prod(gram.diagonal(), start=Fraction(1)) / determinant(gram)
 
 
 def hermite_invariant_power(gram: GramMatrix) -> Fraction:
@@ -82,11 +80,8 @@ def hermite_constant_power(n: int) -> Fraction:
 
 def lls_bound(n: int) -> Fraction:
     """Classical defect bound for HKZ bases: gamma_n^n * prod_{i=1}^n (i+3)/4."""
-    g = hermite_constant_power(n)
-    prod = Fraction(1)
-    for i in range(1, n + 1):
-        prod *= Fraction(i + 3, 4)
-    return g * prod
+    factors = (Fraction(i + 3, 4) for i in range(1, n + 1))
+    return hermite_constant_power(n) * prod(factors)
 
 
 def new_bound(n: int) -> Fraction:
@@ -103,11 +98,8 @@ def new_bound(n: int) -> Fraction:
             f"split bound unknown for rank {n}: needs gamma_{n - 3}^{n - 3},"
             f" and Hermite constants are known up to rank {MAX_HERMITE_RANK}"
         )
-    g = hermite_constant_power(n - 3)
-    prod = Fraction(1)
-    for i in range(4, n + 1):
-        prod *= Fraction(6 * i + 29, 24)
-    return Fraction(25, 12) * g * prod
+    factors = (Fraction(6 * i + 29, 24) for i in range(4, n + 1))
+    return delta_exact(3) * hermite_constant_power(n - 3) * prod(factors)
 
 
 def delta_exact(n: int) -> Fraction:

@@ -10,10 +10,13 @@ Gram matrix.  No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
+import errno
+import functools
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 
 class SingularBasisError(ValueError):
@@ -149,24 +152,27 @@ class GSOData:
     def n(self) -> int:
         return len(self.bstar)
 
-    def mu_full(self, i: int, j: int) -> Fraction:
-        """mu_{i,j} extended by mu_{i,i} = 1 and mu_{i,j} = 0 for j > i."""
-        if j < i:
-            return self.mu[i][j]
-        return Fraction(1) if i == j else Fraction(0)
+    def block(self, start: int, stop: int | None = None) -> "GSOData":
+        """GSO data of b_start, ..., b_{stop-1} (0-based) projected past the
+        earlier vectors: the rows and columns of `mu` from `start`, and
+        `bstar[start:stop]`.  Every projected block is cut here."""
+        stop = self.n if stop is None else stop
+        if not 0 <= start < stop <= self.n:
+            raise ValueError(f"block [{start}, {stop}) out of range 0..{self.n}")
+        mu = tuple(row[start:] for row in self.mu[start:stop])
+        return GSOData(mu, self.bstar[start:stop])
 
     def reconstruct(self) -> GramMatrix:
         n = self.n
-        rows = []
+        rows = [[None] * n for _ in range(n)]
         for i in range(n):
-            row = []
-            for j in range(n):
-                s = Fraction(0)
-                for k in range(min(i, j) + 1):
-                    s += self.mu_full(i, k) * self.mu_full(j, k) * self.bstar[k]
-                row.append(s)
-            rows.append(tuple(row))
-        return GramMatrix(tuple(rows))
+            for j in range(i + 1):
+                # the k = j term carries the unit diagonal of L
+                s = (self.mu[i][j] if j < i else 1) * self.bstar[j]
+                for k in range(j):
+                    s += self.mu[i][k] * self.mu[j][k] * self.bstar[k]
+                rows[i][j] = rows[j][i] = s
+        return GramMatrix(tuple(map(tuple, rows)))
 
 
 def gram_from_vectors(basis: VectorBasis) -> GramMatrix:
@@ -221,6 +227,8 @@ def quadratic_form_value(gram: GramMatrix, coeffs) -> Fraction:
     x = list(coeffs)
     if len(x) != n:
         raise ValueError(f"coefficient vector has length {len(x)}, expected {n}")
+    if not all(isinstance(v, int) for v in x):
+        raise ValueError("coefficients must be integers")
     total = Fraction(0)
     for i in range(n):
         if x[i] == 0:
@@ -234,10 +242,7 @@ def quadratic_form_value(gram: GramMatrix, coeffs) -> Fraction:
 
 def determinant(gram: GramMatrix) -> Fraction:
     """det(G), computed as the product of LDL pivots; always positive."""
-    result = Fraction(1)
-    for d in ldl(gram).bstar:
-        result *= d
-    return result
+    return prod(ldl(gram).bstar, start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +430,16 @@ def format_gram_text(gram: GramMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+# `load_gram` refuses longer input, reading at most one chunk past this
+MAX_INPUT_CHARS = 2**24
+_READ_CHUNK = 2**16
+
+
 def load_gram(path) -> GramMatrix:
+    # read(n) allocates n bytes up front whatever the file holds; chunks do not
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_gram_text(handle.read())
+        chunks = iter(functools.partial(handle.read, _READ_CHUNK), "")
+        text = "".join(itertools.islice(chunks, MAX_INPUT_CHARS // _READ_CHUNK + 1))
+    if len(text) > MAX_INPUT_CHARS:
+        raise OSError(errno.EFBIG, f"input longer than {MAX_INPUT_CHARS} characters")
+    return parse_gram_text(text)

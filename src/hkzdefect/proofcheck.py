@@ -47,7 +47,7 @@ from .displays import (
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 QUARTER = Fraction(1, 4)
-DEFECT_MAX_3 = Fraction(25, 12)
+DEFECT_MAX_3 = bounds.delta_exact(3)
 
 NEG_KMIN = "NEG_KMIN"
 NEG_KMAX = "NEG_KMAX"
@@ -535,12 +535,15 @@ def scan_case(case_id: str, grid_step: Fraction = Fraction(1, 100)) -> CaseScanR
 # convexity in k of the defect envelope
 
 
-def _envelope_pieces(side: str, lam: Fraction, mu: Fraction, sigma: Fraction):
-    """(C, E) with N(k) = C - k E the binding lower bound on l for this side."""
+def _envelope_pieces(side: str, lam, mu, sigma, big_l=1, big_s=1):
+    """(C, E) with N(k) = C - k E the binding lower bound on l for this side.
+
+    On a grid, with lam, mu and sigma the integer numerators over the units
+    L = big_l and S = big_s, it returns the integers (L^2 C, S^2 E)."""
     if side == "NEG":
-        return 1 - (1 - lam - mu) ** 2, (1 + sigma) ** 2
+        return big_l**2 - (big_l - lam - mu) ** 2, (big_s + sigma) ** 2
     if side == "POS":
-        return 1 - (lam - mu) ** 2, (1 - sigma) ** 2
+        return big_l**2 - (lam - mu) ** 2, (big_s - sigma) ** 2
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -576,11 +579,7 @@ def _envelope_polys(
     and three positive rationals as unreduced (numerator, denominator) pairs
     of integers.
     """
-    # (L^2 C, S^2 E); callers have already rejected an unknown side
-    if side == "NEG":
-        cn, en = big_l**2 - (big_l - i - j) ** 2, (big_s + s) ** 2
-    else:
-        cn, en = big_l**2 - (i - j) ** 2, (big_s - s) ** 2
+    cn, en = _envelope_pieces(side, i, j, s, big_l, big_s)
     a0, a1 = i * i * en * big_m, cn * big_s**2
     b0, b1 = (cn + j * j) * en * big_m, cn * (s * s - en)
     return (

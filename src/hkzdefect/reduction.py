@@ -83,10 +83,10 @@ def _preference_key(coeffs: tuple[int, ...]):
     )
 
 
-def _enumerate(mu, bstar, radius_sq: Fraction, shrink: bool):
+def _enumerate(gso: GSOData, radius_sq: Fraction, shrink: bool):
     """Depth-first exact enumeration of the nonzero x with x^T G x <= radius_sq.
 
-    Works on GSO data: the form value is sum_i bstar[i] * y_i^2 with
+    Works on the GSO data of G: the form value is sum_i bstar[i] * y_i^2 with
     y_i = x_i + sum_{j>i} mu[j][i] x_j.  Levels are processed from the last
     coordinate down, scanning each coordinate outward from its real center, so
     both scan directions can stop as soon as the partial norm overshoots.
@@ -95,7 +95,7 @@ def _enumerate(mu, bstar, radius_sq: Fraction, shrink: bool):
     becomes the radius and empties `found`, which then holds exactly the
     shortest vectors.
     """
-    n = len(bstar)
+    mu, bstar, n = gso.mu, gso.bstar, gso.n
     x = [0] * n
     found: list[tuple[Fraction, tuple[int, ...]]] = []
     nodes = 0
@@ -139,13 +139,12 @@ def shortest_vector(gram: GramMatrix) -> ShortestVectorResult:
     first nonzero coefficient is positive) the one supported on the earliest
     basis vectors wins.
     """
-    gso = ldl(gram)
-    return _shortest_from_gso(gso.mu, gso.bstar)
+    return _shortest_from_gso(ldl(gram))
 
 
-def _shortest_from_gso(mu, bstar) -> ShortestVectorResult:
+def _shortest_from_gso(gso: GSOData) -> ShortestVectorResult:
     # b_1 has norm bstar[0], so the enumeration finds at least that vector
-    norm_sq, found, nodes = _enumerate(mu, bstar, bstar[0], shrink=True)
+    norm_sq, found, nodes = _enumerate(gso, gso.bstar[0], shrink=True)
     coeffs = min((x for _, x in found), key=_preference_key)
     return ShortestVectorResult(coeffs, norm_sq, nodes)
 
@@ -160,12 +159,7 @@ def projected_gram(gram: GramMatrix, index: int) -> GramMatrix:
     n = gram.n
     if not 1 <= index <= n:
         raise ValueError(f"index {index} out of range 1..{n}")
-    if index == 1:
-        return gram
-    gso = ldl(gram)
-    start = index - 1
-    tail_mu = tuple(row[start:] for row in gso.mu[start:])
-    return GSOData(tail_mu, gso.bstar[start:]).reconstruct()
+    return ldl(gram).block(index - 1).reconstruct()
 
 
 def _size_reduce(mu: list[list[Fraction]], rows: list[list[int]]) -> None:
@@ -210,7 +204,9 @@ def complete_primitive_row(coeffs) -> list[list[int]]:
     as its first row and determinant +-1.  The identity comes back unchanged
     for coeffs = (1, 0, ..., 0).
     """
-    row = [int(c) for c in coeffs]
+    row = list(coeffs)
+    if not all(isinstance(c, int) for c in row):
+        raise ValueError("coefficients must be integers")
     m = len(row)
     if not any(row):
         raise ValueError("zero vector cannot start a basis")
@@ -272,8 +268,7 @@ def hkz_reduce(gram: GramMatrix) -> ReductionReport:
     svp_calls = 0
     total_nodes = 0
     for level in range(n):
-        sub_mu = tuple(tuple(mu[i][level:i]) for i in range(level, n))
-        best = _shortest_from_gso(sub_mu, bstar[level:])
+        best = _shortest_from_gso(GSOData(tuple(map(tuple, mu)), bstar).block(level))
         svp_calls += 1
         total_nodes += best.nodes_visited
         if any(best.coeffs[1:]):
@@ -322,8 +317,7 @@ def _certify(gso: GSOData) -> HKZCertificate:
                     f"not size reduced: mu[{i + 1}][{j + 1}] = {gso.mu[i][j]}",
                 )
     for level in range(n):
-        sub_mu = tuple(tuple(gso.mu[i][level:i]) for i in range(level, n))
-        best = _shortest_from_gso(sub_mu, gso.bstar[level:])
+        best = _shortest_from_gso(gso.block(level))
         if best.norm_sq < gso.bstar[level]:
             if level == 0:
                 return HKZCertificate(False, "b1 not shortest")
@@ -351,37 +345,38 @@ def _independent_over_q(rows: list[list[int]], candidate) -> bool:
     return False
 
 
-def _basis_norms(mu, bstar) -> tuple[Fraction, ...]:
+def _basis_norms(gso: GSOData) -> tuple[Fraction, ...]:
     """||b_i||^2 = bstar[i] + sum_{j<i} mu[i][j]^2 bstar[j] for each i."""
     return tuple(
-        bstar[i] + sum(mu[i][j] ** 2 * bstar[j] for j in range(i))
-        for i in range(len(bstar))
+        gso.bstar[i] + sum(gso.mu[i][j] ** 2 * gso.bstar[j] for j in range(i))
+        for i in range(gso.n)
     )
 
 
-def _minima_from_gso(mu, bstar) -> list[tuple[Fraction, tuple[int, ...]]]:
+def _require_minima_rank(n: int) -> None:
+    if n > MAX_MINIMA_RANK:
+        raise ValueError(f"minima enumeration unsupported above rank {MAX_MINIMA_RANK}")
+
+
+def _minima_from_gso(gso: GSOData) -> list[tuple[Fraction, tuple[int, ...]]]:
     """The n successive minima of the basis given by its GSO data, each with
     an independent witness in that basis, as (norm_sq, coeffs).
 
     Enumerates every vector of squared norm at most max_i ||b_i||^2 and
     greedily picks independent vectors in order of increasing norm.  That
     radius holds the n independent vectors b_1, ..., b_n, so lambda_n is
-    within it, and with lambda_n the witnesses for all n minima.
+    within it, and with lambda_n the witnesses for all n minima.  Callers
+    check the rank (`_require_minima_rank`) before any enumeration.
     """
-    n = len(bstar)
-    if n > MAX_MINIMA_RANK:
-        raise ValueError(
-            f"minima enumeration unsupported above rank {MAX_MINIMA_RANK}"
-        )
-    radius = max(_basis_norms(mu, bstar))
-    _, found, _ = _enumerate(mu, bstar, radius, shrink=False)
+    radius = max(_basis_norms(gso))
+    _, found, _ = _enumerate(gso, radius, shrink=False)
     found.sort(key=lambda item: (item[0],) + _preference_key(item[1]))
     echelon: list[list[int]] = []
     picked = []
     for norm_sq, coeffs in found:
         if _independent_over_q(echelon, coeffs):
             picked.append((norm_sq, coeffs))
-            if len(picked) == n:
+            if len(picked) == gso.n:
                 return picked
     raise RuntimeError("enumeration radius failed to produce n independent vectors")
 
@@ -394,16 +389,13 @@ def successive_minima(gram: GramMatrix) -> SuccessiveMinima:
     Witness coefficients refer to the original input basis.
     """
     n = gram.n
-    if n > MAX_MINIMA_RANK:
-        raise ValueError(
-            f"minima enumeration unsupported above rank {MAX_MINIMA_RANK}"
-        )
+    _require_minima_rank(n)
     report = hkz_reduce(gram)
     gso = ldl(report.reduced)
     t = report.transform.entries
     minima = []
     witnesses = []
-    for norm_sq, coeffs in _minima_from_gso(gso.mu, gso.bstar):
+    for norm_sq, coeffs in _minima_from_gso(gso):
         original = tuple(
             sum(coeffs[r] * t[r][c] for r in range(n)) for c in range(n)
         )
@@ -463,6 +455,7 @@ def check_propositions(gram: GramMatrix) -> PropositionReport:
       * bstar[i] <= lambda_i^2.
     Requires a certified HKZ-reduced input and rank <= 6 (successive minima).
     """
+    _require_minima_rank(gram.n)
     return _propositions(gram, ldl(gram))
 
 
@@ -472,7 +465,7 @@ def _propositions(gram: GramMatrix, gso: GSOData) -> PropositionReport:
         raise ValueError(
             f"input not HKZ reduced (not HKZ certified: {cert.failing_condition})"
         )
-    minima = [norm_sq for norm_sq, _ in _minima_from_gso(gso.mu, gso.bstar)]
+    minima = [norm_sq for norm_sq, _ in _minima_from_gso(gso)]
     n = gram.n
     adjacent = tuple(
         InequalityCheck(
@@ -573,16 +566,16 @@ def check_defect_chain(gram: GramMatrix) -> ChainReport:
             (2, Fraction(4, 3), "||b_3(3)||^2 <= 4/3 ||b_4(4)||^2"),
         )
     )
-    tail_mu = tuple(row[3:] for row in gso.mu[3:])
+    tail = gso.block(3)
     norm_vs_projected = tuple(
         InequalityCheck(
             f"||b_{i + 1}||^2 <= ||b_{i + 1}(4)||^2 + 29/24 ||b_4(4)||^2",
             gram[i][i],
             proj_norm + Fraction(29, 24) * b4,
         )
-        for i, proj_norm in enumerate(_basis_norms(tail_mu, gso.bstar[3:]), start=3)
+        for i, proj_norm in enumerate(_basis_norms(tail), start=3)
     )
-    tail_minima = [m for m, _ in _minima_from_gso(tail_mu, gso.bstar[3:])]
+    tail_minima = [m for m, _ in _minima_from_gso(tail)]
     norm_vs_minima = tuple(
         InequalityCheck(
             f"||b_{i + 1}||^2 <= ({i + 1}/4 + 29/24) lambda_{i - 2}(4)^2",

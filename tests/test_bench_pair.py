@@ -5,7 +5,9 @@ functions hand-written result files instead, so nothing is spawned.
 """
 
 import importlib.util
+import io
 import json
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -140,3 +142,30 @@ def test_run_order_alternates_the_first_side():
         assert first == ("parent" if seed % 2 else "change")
     traced = order[len(untraced):]
     assert traced == [(1, w, side, 1) for w in WORKLOADS for side in bench_pair.SIDES]
+
+
+def test_change_copy_takes_untracked_files_that_are_not_ignored(tmp_path, monkeypatch):
+    # git is faked: an empty archive for the parent, a listing for the change
+    root, asked = tmp_path / "repo", []
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "tracked.py").write_text("old = 1\n")
+    (root / "src" / "new_module.py").write_text("new = 1\n")
+    empty_tar = io.BytesIO()
+    tarfile.open(fileobj=empty_tar, mode="w").close()
+
+    def fake_git(*args):
+        asked.append(args)
+        if args[0] == "archive":
+            return empty_tar.getvalue()
+        listed = ["src/tracked.py"]
+        if "--others" in args and "--exclude-standard" in args:
+            listed.append("src/new_module.py")
+        return "\0".join(listed).encode() + b"\0"
+
+    monkeypatch.setattr(bench_pair, "ROOT", root)
+    monkeypatch.setattr(bench_pair, "git", fake_git)
+    copies = bench_pair.make_copies("c0ffee", tmp_path / "work")
+    change = copies["change"] / "src"
+    assert sorted(p.name for p in change.iterdir()) == ["new_module.py", "tracked.py"]
+    assert (change / "new_module.py").read_text() == "new = 1\n"
+    assert [args[0] for args in asked] == ["archive", "ls-files"]

@@ -134,6 +134,23 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}:")
 
 
+def test_oversized_input_exits_2(tmp_path, capsys, monkeypatch):
+    # /dev/zero reads the same way: the limit is checked, not the file size
+    monkeypatch.setattr(core, "MAX_INPUT_CHARS", len(EXTREMAL_TEXT) - 1)
+    path = tmp_path / "big.gram"
+    path.write_text(EXTREMAL_TEXT)
+    assert cli.main(["defect", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: cannot read {path}: input longer than"
+        f" {len(EXTREMAL_TEXT) - 1} characters"
+    ]
+    # at the limit the file is read as before
+    monkeypatch.setattr(core, "MAX_INPUT_CHARS", len(EXTREMAL_TEXT))
+    assert cli.main(["defect", str(path)]) == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -92,6 +92,12 @@ def test_quadratic_form_length_mismatch(extremal_plus):
         quadratic_form_value(extremal_plus, (1, 0))
 
 
+@pytest.mark.parametrize("coeffs", [(Fr(1, 2), 0, 0), (0.5, 0, 0), (1.0, 0, 0)])
+def test_quadratic_form_refuses_non_integers(extremal_plus, coeffs):
+    with pytest.raises(ValueError, match="integers"):
+        quadratic_form_value(extremal_plus, coeffs)
+
+
 def test_quadratic_form_positive_on_box():
     for seed in range(5):
         g = random_gram(3, 200 + seed, 6)

@@ -31,6 +31,7 @@ import pytest
 
 from hkzdefect import (
     GramMatrix,
+    GSOData,
     Unimodular,
     apply_unimodular,
     check_defect_chain,
@@ -151,16 +152,16 @@ def test_carried_gso_matches_a_fresh_factorization(monkeypatch, index):
     def fresh(rows):
         return ldl(fraction_apply_unimodular(gram, Unimodular(tuple(map(tuple, rows)))))
 
-    def checked_shortest(sub_mu, tail_bstar):
+    def checked_shortest(block):
         # level l enumerates the carried tail block of the current basis
-        level = n - len(tail_bstar)
+        level = n - block.n
         want = fresh(rows_now)
-        assert tuple(tail_bstar) == want.bstar[level:]
-        assert tuple(map(tuple, sub_mu)) == tuple(
+        assert tuple(block.bstar) == want.bstar[level:]
+        assert tuple(map(tuple, block.mu)) == tuple(
             want.mu[i][level:i] for i in range(level, n)
         )
         levels.append(level)
-        return shortest(sub_mu, tail_bstar)
+        return shortest(block)
 
     def checked_size_reduce(mu, rows):
         assert tuple(map(tuple, mu)) == fresh(rows).mu
@@ -326,14 +327,13 @@ class _Enumerator:
 
 def _gso_blocks(gram):
     """GSO data of a basis, of its HKZ-reduced form and of every projected
-    tail of that form, as (mu, bstar) pairs."""
-    gso = ldl(gram)
+    tail of that form."""
+    yield ldl(gram)
     reduced = ldl(hkz_reduce(gram).reduced)
-    yield gso.mu, gso.bstar
     n = gram.n
     for level in range(n):
         sub_mu = tuple(tuple(reduced.mu[i][level:i]) for i in range(level, n))
-        yield sub_mu, reduced.bstar[level:]
+        yield GSOData(sub_mu, reduced.bstar[level:])
 
 
 ORACLE_BASES = [
@@ -345,19 +345,19 @@ ORACLE_BASES = [
 
 @pytest.mark.parametrize("index", range(len(ORACLE_BASES)))
 def test_enumerate_matches_old_enumerator(index):
-    for mu, bstar in _gso_blocks(ORACLE_BASES[index]):
-        n = len(bstar)
-        e1 = tuple([1] + [0] * (n - 1))
+    for gso in _gso_blocks(ORACLE_BASES[index]):
+        mu, bstar = gso.mu, gso.bstar
+        e1 = tuple([1] + [0] * (gso.n - 1))
         radius, best, nodes = _Enumerator(mu, bstar).shortest(bstar[0], seed=e1)
-        got_radius, found, got_nodes = _enumerate(mu, bstar, bstar[0], shrink=True)
+        got_radius, found, got_nodes = _enumerate(gso, bstar[0], shrink=True)
         assert got_radius == radius
         assert sorted(x for _, x in found) == sorted(best)
         assert all(norm_sq == radius for norm_sq, _ in found)
         assert got_nodes == nodes
 
-        radius = max(_basis_norms(mu, bstar))
+        radius = max(_basis_norms(gso))
         below, nodes = _Enumerator(mu, bstar).below(radius)
-        assert _enumerate(mu, bstar, radius, shrink=False) == (radius, below, nodes)
+        assert _enumerate(gso, radius, shrink=False) == (radius, below, nodes)
 
 
 # --- integer kernels against their Fraction oracles --------------------------

@@ -17,7 +17,6 @@ from hkzdefect import (
     summary_json,
 )
 from hkzdefect import bounds, core, experiments, reduction
-from hkzdefect.core import GSOData
 from hkzdefect.experiments import _A2_GRAM, _trial_gram
 
 from conftest import patch_everywhere
@@ -68,7 +67,7 @@ def test_certified_basis_has_a_certified_leading_block(rank):
     for gram in grams:
         assert is_hkz_reduced(gram).ok
         gso = ldl(gram)
-        assert reduction._certify(GSOData(gso.mu[:3], gso.bstar[:3])).ok
+        assert reduction._certify(gso.block(0, 3)).ok
 
 
 def test_chain_follows_the_bound_row(monkeypatch):
@@ -152,9 +151,9 @@ def test_each_trial_certified_once(monkeypatch):
         calls["certified"] += 1
         return certify(gso)
 
-    def counting_minima(mu, bstar):
-        calls["full_minima"] += len(bstar) == 5
-        return minima(mu, bstar)
+    def counting_minima(gso):
+        calls["full_minima"] += gso.n == 5
+        return minima(gso)
 
     def counting_ldl(gram):
         calls["ldl"] += 1

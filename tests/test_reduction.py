@@ -17,8 +17,11 @@ from hkzdefect import (
     size_reduce,
     successive_minima,
 )
+from hkzdefect import reduction
 from hkzdefect.experiments import random_gram
 from hkzdefect.reduction import complete_primitive_row
+
+from test_root_lattices import cartan_gram
 
 
 # --- size reduction ---------------------------------------------------------
@@ -122,6 +125,31 @@ def test_projected_gram_range(extremal_plus):
         projected_gram(extremal_plus, 4)
 
 
+BLOCK_BASES = [random_gram(rank, 40 + rank) for rank in range(2, 7)] + [
+    cartan_gram(name) for name in ("D4", "D5", "E6")
+]
+
+
+@pytest.mark.parametrize("index", range(len(BLOCK_BASES)))
+def test_gso_block_cuts_projected_blocks(index):
+    gram = BLOCK_BASES[index]
+    gso, n = ldl(gram), gram.n
+    assert gso.block(0) == gso
+    for i in range(n):
+        assert gso.block(i).reconstruct() == projected_gram(gram, i + 1)
+        for j in range(n - i):
+            assert gso.block(i).block(j) == gso.block(i + j)
+        # a leading block is the factorization of the leading principal minor
+        lead = GramMatrix(tuple(row[: i + 1] for row in gram.entries[: i + 1]))
+        assert gso.block(0, i + 1) == ldl(lead)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, None), (2, 2), (0, 4), (3, None)])
+def test_gso_block_refuses_empty_or_outside_ranges(extremal_plus, start, stop):
+    with pytest.raises(ValueError, match="out of range"):
+        ldl(extremal_plus).block(start, stop)
+
+
 # --- unimodular completion --------------------------------------------------
 
 
@@ -136,6 +164,12 @@ def test_complete_primitive_row_generic():
         mat = complete_primitive_row(w)
         assert tuple(mat[0]) == w
         assert int_det(mat) in (1, -1)
+
+
+@pytest.mark.parametrize("coeffs", [(1.5, 2.7), (Fr(1), 0), (1.0, 0)])
+def test_complete_primitive_row_refuses_non_integers(coeffs):
+    with pytest.raises(ValueError, match="integers"):
+        complete_primitive_row(coeffs)
 
 
 def test_complete_primitive_row_rejects_imprimitive():
@@ -315,6 +349,20 @@ def test_propositions_extremal(extremal_plus):
 def test_propositions_rejects_unreduced():
     with pytest.raises(ValueError, match="not HKZ reduced"):
         check_propositions(GramMatrix.from_rows([[4, 0], [0, 1]]))
+
+
+def test_propositions_refuse_rank_7_before_certifying(monkeypatch):
+    def no_certify(gso):
+        raise AssertionError("rank 7 was certified before the rank check")
+
+    monkeypatch.setattr(reduction, "_certify", no_certify)
+    identity7 = GramMatrix.from_rows([[int(i == j) for j in range(7)] for i in range(7)])
+    with pytest.raises(ValueError) as refused:
+        check_propositions(identity7)
+    assert str(refused.value) == "minima enumeration unsupported above rank 6"
+    with pytest.raises(ValueError) as minima_refused:
+        successive_minima(identity7)
+    assert str(minima_refused.value) == str(refused.value)
 
 
 def test_propositions_random_reduced_suite():

@@ -4,11 +4,12 @@
         [--in-process FILE] [--workdir DIR]
 
 Run from the root of the repository.  Two copies are made under the work
-directory: PARENT by `git archive`, and the change from the tracked files of
-the working tree (stage new files first).  In each copy `perfbench/run.py`
-runs every workload of BENCHMARK.json for its `run_seconds`, with
-`--trace 0` at seeds 1..pairs, the side that runs first alternating by seed
-(the parent first at odd seeds), then once with `--trace 1` at seed 1.  The tier-1 suite runs twice per side in the order
+directory: PARENT by `git archive`, and the change from the working tree's
+tracked files and its untracked files that are not ignored.  In each copy
+`perfbench/run.py` runs every workload of BENCHMARK.json for its
+`run_seconds`, with `--trace 0` at seeds 1..pairs, the side that runs first
+alternating by seed (the parent first at odd seeds), then once with
+`--trace 1` at seed 1.  The tier-1 suite runs twice per side in the order
 parent, change, change, parent.  Runs are serial, one process at a time.
 `--pairs 10` gives the ten alternating pairs a gain claim needs; a claim
 that does not start with "none" marks the record as claiming a gain.
@@ -188,7 +189,8 @@ def make_copies(parent: str, workdir: Path) -> dict:
     copies = {side: workdir / side for side in SIDES}
     with tarfile.open(fileobj=io.BytesIO(git("archive", parent))) as archive:
         archive.extractall(copies["parent"])
-    for name in git("ls-files", "-z").decode().split("\0"):
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in listed.decode().split("\0"):
         source = ROOT / name
         if name and source.is_file():
             target = copies["change"] / name
