@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .core import (
     GramMatrix,
@@ -83,24 +84,56 @@ def _preference_key(coeffs: tuple[int, ...]):
     )
 
 
-def _enumerate(gso: GSOData, radius_sq: Fraction, shrink: bool):
+# (norm_sq, coefficients) of lattice vectors, one per +/- pair
+_Vectors = list[tuple[Fraction, tuple[int, ...]]]
+
+
+class _Walk(NamedTuple):
+    """What one `_enumerate` walk returns."""
+
+    radius_sq: Fraction
+    found: _Vectors
+    nodes: int
+    tail: _Vectors
+
+
+def _enumerate(
+    gso: GSOData,
+    radius_sq: Fraction,
+    shrink: bool,
+    first_below: bool = False,
+    tail: int | None = None,
+) -> _Walk:
     """Depth-first exact enumeration of the nonzero x with x^T G x <= radius_sq.
 
     Works on the GSO data of G: the form value is sum_i bstar[i] * y_i^2 with
     y_i = x_i + sum_{j>i} mu[j][i] x_j.  Levels are processed from the last
     coordinate down, scanning each coordinate outward from its real center, so
     both scan directions can stop as soon as the partial norm overshoots.
-    Returns (radius_sq, found, nodes): `found` lists (norm_sq, x), one x per
-    +/- pair, in visiting order.  With `shrink`, a strictly shorter vector
-    becomes the radius and empties `found`, which then holds exactly the
-    shortest vectors.
+    `found` lists (norm_sq, x), one x per +/- pair, signs normalized.
+
+    With `shrink`, a strictly shorter vector becomes the radius and empties
+    `found`, which then holds exactly the shortest vectors; the walk visits
+    both halves of the tree, so its node count is that of the full ball.
+
+    Without it the radius is fixed and the walk visits one of each +/- pair:
+    at a level whose higher coordinates are all zero it scans only values
+    >= 0.  With `first_below` it keeps only partial norms < radius_sq and
+    returns at the first nonzero vector, so `found` is empty exactly when no
+    vector is strictly shorter than radius_sq.  With `tail = t` it also lists
+    in `tail` the (partial norm, x[t:]) of every node of level t whose x[t:]
+    is nonzero: the vectors of the projected block gso.block(t) within
+    radius_sq, one per +/- pair.
     """
     mu, bstar, n = gso.mu, gso.bstar, gso.n
     x = [0] * n
-    found: list[tuple[Fraction, tuple[int, ...]]] = []
+    found: _Vectors = []
+    projected: _Vectors = []
     nodes = 0
+    half = not shrink
 
-    def descend(level: int, partial: Fraction) -> None:
+    def descend(level: int, partial: Fraction, top: bool) -> bool:
+        # `top`: every coordinate above `level` is zero; returns True to stop
         nonlocal radius_sq, nodes
         center = -sum(
             (mu[j][level] * x[j] for j in range(level + 1, n)),
@@ -108,28 +141,38 @@ def _enumerate(gso: GSOData, radius_sq: Fraction, shrink: bool):
         )
         b = bstar[level]
         start = _nearest_int(center)
-        for value, step in ((start, 1), (start - 1, -1)):
+        scans = ((start, 1),) if half and top else ((start, 1), (start - 1, -1))
+        for value, step in scans:
             while True:
                 offset = value - center
                 norm_here = partial + b * offset * offset
-                if norm_here > radius_sq:
+                if norm_here > radius_sq or (first_below and norm_here == radius_sq):
                     break
                 nodes += 1
                 x[level] = value
+                if level == tail and (value or not top):
+                    projected.append((norm_here, _normalize_sign(tuple(x[level:]))))
                 if level:
-                    descend(level - 1, norm_here)
+                    if descend(level - 1, norm_here, top and not value):
+                        return True
                 elif any(x):
-                    if shrink and norm_here < radius_sq:
-                        radius_sq = norm_here
-                        found.clear()
                     coeffs = tuple(x)
-                    if _normalize_sign(coeffs) == coeffs:
-                        found.append((norm_here, coeffs))
+                    if half:
+                        found.append((norm_here, _normalize_sign(coeffs)))
+                        if first_below:
+                            return True
+                    else:
+                        if norm_here < radius_sq:
+                            radius_sq = norm_here
+                            found.clear()
+                        if _normalize_sign(coeffs) == coeffs:
+                            found.append((norm_here, coeffs))
                 value += step
         x[level] = 0
+        return False
 
-    descend(n - 1, Fraction(0))
-    return radius_sq, found, nodes
+    descend(n - 1, Fraction(0), True)
+    return _Walk(radius_sq, found, nodes, projected)
 
 
 def shortest_vector(gram: GramMatrix) -> ShortestVectorResult:
@@ -144,9 +187,9 @@ def shortest_vector(gram: GramMatrix) -> ShortestVectorResult:
 
 def _shortest_from_gso(gso: GSOData) -> ShortestVectorResult:
     # b_1 has norm bstar[0], so the enumeration finds at least that vector
-    norm_sq, found, nodes = _enumerate(gso, gso.bstar[0], shrink=True)
-    coeffs = min((x for _, x in found), key=_preference_key)
-    return ShortestVectorResult(coeffs, norm_sq, nodes)
+    walk = _enumerate(gso, gso.bstar[0], shrink=True)
+    coeffs = min((x for _, x in walk.found), key=_preference_key)
+    return ShortestVectorResult(coeffs, walk.radius_sq, walk.nodes)
 
 
 def projected_gram(gram: GramMatrix, index: int) -> GramMatrix:
@@ -317,8 +360,10 @@ def _certify(gso: GSOData) -> HKZCertificate:
                     f"not size reduced: mu[{i + 1}][{j + 1}] = {gso.mu[i][j]}",
                 )
     for level in range(n):
-        best = _shortest_from_gso(gso.block(level))
-        if best.norm_sq < gso.bstar[level]:
+        # b_l(l) is shortest unless some vector of its block is strictly
+        # shorter; the walk stops at the first one
+        block = gso.block(level)
+        if _enumerate(block, block.bstar[0], False, first_below=True).found:
             if level == 0:
                 return HKZCertificate(False, "b1 not shortest")
             return HKZCertificate(
@@ -358,27 +403,40 @@ def _require_minima_rank(n: int) -> None:
         raise ValueError(f"minima enumeration unsupported above rank {MAX_MINIMA_RANK}")
 
 
-def _minima_from_gso(gso: GSOData) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """The n successive minima of the basis given by its GSO data, each with
-    an independent witness in that basis, as (norm_sq, coeffs).
-
-    Enumerates every vector of squared norm at most max_i ||b_i||^2 and
-    greedily picks independent vectors in order of increasing norm.  That
-    radius holds the n independent vectors b_1, ..., b_n, so lambda_n is
-    within it, and with lambda_n the witnesses for all n minima.  Callers
-    check the rank (`_require_minima_rank`) before any enumeration.
-    """
-    radius = max(_basis_norms(gso))
-    _, found, _ = _enumerate(gso, radius, shrink=False)
+def _pick_minima(found: _Vectors, n: int) -> _Vectors:
+    """Greedily pick n independent vectors from `found` in order of increasing
+    norm, ties broken by `_preference_key`: the n successive minima, with
+    witnesses, whenever `found` holds every vector up to lambda_n."""
     found.sort(key=lambda item: (item[0],) + _preference_key(item[1]))
     echelon: list[list[int]] = []
     picked = []
     for norm_sq, coeffs in found:
         if _independent_over_q(echelon, coeffs):
             picked.append((norm_sq, coeffs))
-            if len(picked) == gso.n:
+            if len(picked) == n:
                 return picked
     raise RuntimeError("enumeration radius failed to produce n independent vectors")
+
+
+def _minima_from_gso(
+    gso: GSOData, tail: int | None = None
+) -> tuple[_Vectors, _Vectors]:
+    """The n successive minima of the basis given by its GSO data, each with
+    an independent witness in that basis, as (norm_sq, coeffs); and with
+    `tail = t` also those of the projected block gso.block(t) (else []).
+
+    Enumerates every vector of squared norm at most max_i ||b_i||^2 and
+    greedily picks independent vectors in order of increasing norm.  That
+    radius holds the n independent vectors b_1, ..., b_n, so lambda_n is
+    within it, and with lambda_n the witnesses for all n minima.  The same
+    walk passes every vector of block(t) within that radius, and the last
+    minimum of block(t) is at most max_{i>t} ||b_i(t+1)||^2 <= max_i ||b_i||^2,
+    so its minima need no walk of their own.  Callers check the rank
+    (`_require_minima_rank`) before any enumeration.
+    """
+    walk = _enumerate(gso, max(_basis_norms(gso)), shrink=False, tail=tail)
+    tail_minima = [] if tail is None else _pick_minima(walk.tail, gso.n - tail)
+    return _pick_minima(walk.found, gso.n), tail_minima
 
 
 def successive_minima(gram: GramMatrix) -> SuccessiveMinima:
@@ -395,7 +453,7 @@ def successive_minima(gram: GramMatrix) -> SuccessiveMinima:
     t = report.transform.entries
     minima = []
     witnesses = []
-    for norm_sq, coeffs in _minima_from_gso(gso):
+    for norm_sq, coeffs in _minima_from_gso(gso)[0]:
         original = tuple(
             sum(coeffs[r] * t[r][c] for r in range(n)) for c in range(n)
         )
@@ -456,16 +514,21 @@ def check_propositions(gram: GramMatrix) -> PropositionReport:
     Requires a certified HKZ-reduced input and rank <= 6 (successive minima).
     """
     _require_minima_rank(gram.n)
-    return _propositions(gram, ldl(gram))
+    return _propositions(gram, ldl(gram))[0]
 
 
-def _propositions(gram: GramMatrix, gso: GSOData) -> PropositionReport:
+def _propositions(
+    gram: GramMatrix, gso: GSOData, tail: int | None = None
+) -> tuple[PropositionReport, list[Fraction]]:
+    """The report of `check_propositions`, and the minima of gso.block(tail)
+    taken from the same minima walk (see `_minima_from_gso`)."""
     cert = _certify(gso)
     if not cert.ok:
         raise ValueError(
             f"input not HKZ reduced (not HKZ certified: {cert.failing_condition})"
         )
-    minima = [norm_sq for norm_sq, _ in _minima_from_gso(gso)]
+    picked, tail_picked = _minima_from_gso(gso, tail)
+    minima = [norm_sq for norm_sq, _ in picked]
     n = gram.n
     adjacent = tuple(
         InequalityCheck(
@@ -507,7 +570,8 @@ def _propositions(gram: GramMatrix, gso: GSOData) -> PropositionReport:
         )
         for i in range(n)
     )
-    return PropositionReport(adjacent, skip_two, lower, upper, bstar_le)
+    report = PropositionReport(adjacent, skip_two, lower, upper, bstar_le)
+    return report, [norm_sq for norm_sq, _ in tail_picked]
 
 
 @dataclass(frozen=True)
@@ -548,7 +612,8 @@ def check_defect_chain(gram: GramMatrix) -> ChainReport:
         writing B4 for ||b_4(4)||^2;
       * ||b_i||^2 <= ||b_i(4)||^2 + 29/24 B4 for i >= 4;
       * ||b_i||^2 <= (i/4 + 29/24) lambda_{i-3}^2 of the lattice projected
-        past b_1, b_2, b_3 (its minima indexed from 1);
+        past b_1, b_2, b_3 (its minima indexed from 1, read off the walk
+        that finds the minima of the whole lattice);
       * every family of `check_propositions`, which certifies the input and
         includes ||b_i(i)||^2 <= lambda_i^2 in the full lattice.
     """
@@ -556,7 +621,7 @@ def check_defect_chain(gram: GramMatrix) -> ChainReport:
     if not 4 <= n <= MAX_MINIMA_RANK:
         raise ValueError(f"chain check needs rank 4..{MAX_MINIMA_RANK}")
     gso = ldl(gram)
-    propositions = _propositions(gram, gso)
+    propositions, tail_minima = _propositions(gram, gso, tail=3)
     b4 = gso.bstar[3]
     bstar_vs_fourth = tuple(
         InequalityCheck(label, gso.bstar[i], factor * b4)
@@ -575,7 +640,6 @@ def check_defect_chain(gram: GramMatrix) -> ChainReport:
         )
         for i, proj_norm in enumerate(_basis_norms(tail), start=3)
     )
-    tail_minima = [m for m, _ in _minima_from_gso(tail)]
     norm_vs_minima = tuple(
         InequalityCheck(
             f"||b_{i + 1}||^2 <= ({i + 1}/4 + 29/24) lambda_{i - 2}(4)^2",

@@ -144,6 +144,50 @@ def test_run_order_alternates_the_first_side():
     assert traced == [(1, w, side, 1) for w in WORKLOADS for side in bench_pair.SIDES]
 
 
+def test_run_order_gives_the_focus_workload_every_pair():
+    order = list(bench_pair.run_order(WORKLOADS, 10, focus="experiment_r5"))
+    untraced = [run for run in order if run[3] == 0]
+    seeds = {
+        workload: sorted({s for s, w, _side, _t in untraced if w == workload})
+        for workload in WORKLOADS
+    }
+    assert seeds == {"proof_grid": [1, 2, 3], "experiment_r5": list(range(1, 11))}
+    assert len(untraced) == (10 + 3) * 2
+    for seed in range(1, 11):
+        first = next(side for s, _w, side, _t in untraced if s == seed)
+        assert first == ("parent" if seed % 2 else "change")
+    assert order[len(untraced):] == [
+        (1, w, side, 1) for w in WORKLOADS for side in bench_pair.SIDES
+    ]
+    assert list(bench_pair.run_order(WORKLOADS, 2, focus="proof_grid")) == list(
+        bench_pair.run_order(WORKLOADS, 2)
+    )
+    with pytest.raises(ValueError, match="unknown workload"):
+        list(bench_pair.run_order(WORKLOADS, 10, focus="reduce"))
+
+
+def test_focus_record_reads_each_workload_s_own_pairs(copies):
+    for seed in (4, 5):
+        for side in bench_pair.SIDES:
+            write_result(copies[side], "experiment_r5", seed, 0,
+                         {"wall_s": (0.5, "s"), "peak_rss_mb": (24.0, "MB")})
+    record = bench_pair.build_bench(
+        copies, "0005806", 5, 40.0, WORKLOADS, {}, "none", {},
+        focus="experiment_r5",
+    )
+    sections = record["workloads"]
+    assert sections["proof_grid"]["end_to_end"]["wall_s"]["parent_runs"] == [
+        0.3, 0.1, 0.2
+    ]
+    assert sections["experiment_r5"]["end_to_end"]["wall_s"]["parent_runs"] == [
+        0.3, 0.1, 0.2, 0.5, 0.5
+    ]
+    assert sections["experiment_r5"]["batches_per_run"]["change"] == [
+        10, 20, 30, 40, 50
+    ]
+    assert "seeds 1..5 for experiment_r5, 1..3 for the others" in record["harness"]
+
+
 def test_change_copy_takes_untracked_files_that_are_not_ignored(tmp_path, monkeypatch):
     # git is faked: an empty archive for the parent, a listing for the change
     root, asked = tmp_path / "repo", []

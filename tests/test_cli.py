@@ -1,4 +1,5 @@
 import json
+import runpy
 import sys
 import time
 from fractions import Fraction as Fr
@@ -197,6 +198,16 @@ def test_bounds_table(capsys):
     assert cli.main(["bounds", "--max-rank", "3"]) == 0
     out = capsys.readouterr().out
     assert "25/12" in out
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    assert cli.main(["bounds", "--max-rank", "3"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["hkzdefect", "bounds", "--max-rank", "3"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("hkzdefect", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_bounds_rank4_values(capsys):

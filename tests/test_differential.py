@@ -40,6 +40,7 @@ from hkzdefect import (
     ldl,
     orthogonality_defect,
     projected_gram,
+    quadratic_form_value,
     shortest_vector,
     size_reduce,
     successive_minima,
@@ -349,15 +350,66 @@ def test_enumerate_matches_old_enumerator(index):
         mu, bstar = gso.mu, gso.bstar
         e1 = tuple([1] + [0] * (gso.n - 1))
         radius, best, nodes = _Enumerator(mu, bstar).shortest(bstar[0], seed=e1)
-        got_radius, found, got_nodes = _enumerate(gso, bstar[0], shrink=True)
-        assert got_radius == radius
-        assert sorted(x for _, x in found) == sorted(best)
-        assert all(norm_sq == radius for norm_sq, _ in found)
-        assert got_nodes == nodes
+        walk = _enumerate(gso, bstar[0], shrink=True)
+        assert walk.radius_sq == radius
+        assert sorted(x for _, x in walk.found) == sorted(best)
+        assert all(norm_sq == radius for norm_sq, _ in walk.found)
+        assert walk.nodes == nodes
 
+        # the fixed-radius walk visits one of each +/- pair: the n all-zero
+        # prefixes once, every other node of the oracle's walk half as often
         radius = max(_basis_norms(gso))
         below, nodes = _Enumerator(mu, bstar).below(radius)
-        assert _enumerate(gso, radius, shrink=False) == (radius, below, nodes)
+        walk = _enumerate(gso, radius, shrink=False)
+        assert walk.radius_sq == radius
+        assert len(walk.found) == len(below)
+        assert set(walk.found) == set(below)
+        assert 2 * walk.nodes == nodes + gso.n
+        assert walk.tail == []
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_BASES)))
+def test_walk_records_every_projected_block(index):
+    # the vectors a walk records at level l are the fixed-radius enumeration
+    # of block(l) at the same radius, one per +/- pair, with their norms
+    for gso in _gso_blocks(ORACLE_BASES[index]):
+        radius = max(_basis_norms(gso))
+        walks = [_enumerate(gso, radius, shrink=False, tail=t) for t in range(gso.n)]
+        for level, walk in enumerate(walks):
+            block = gso.block(level)
+            below, _ = _Enumerator(block.mu, block.bstar).below(radius)
+            assert walk.found == walks[0].found
+            assert walk.nodes == walks[0].nodes
+            assert len(walk.tail) == len(below)
+            assert set(walk.tail) == set(below)
+
+
+def _random_blocks(seeds):
+    """Every projected block of random_gram(rank, seed) and of its HKZ form."""
+    for rank in range(1, 7):
+        for seed in seeds:
+            gram = random_gram(rank, seed)
+            for gso in (ldl(gram), ldl(hkz_reduce(gram).reduced)):
+                for level in range(rank):
+                    yield gso.block(level)
+
+
+def test_first_shorter_vector_matches_the_shortest_vector():
+    # the certificate walk stops at the first vector strictly shorter than
+    # b*_1; it gives the SVP's verdict and visits a subsequence of its nodes
+    shorter = 0
+    for block in _random_blocks(range(40)):
+        walk = _enumerate(block, block.bstar[0], False, first_below=True)
+        best = reduction._shortest_from_gso(block)
+        assert bool(walk.found) == (best.norm_sq < block.bstar[0])
+        assert walk.nodes <= best.nodes_visited
+        if walk.found:
+            shorter += 1
+            ((norm_sq, coeffs),) = walk.found
+            assert any(coeffs) and _normalize_sign(coeffs) == coeffs
+            assert norm_sq < block.bstar[0]
+            assert norm_sq == quadratic_form_value(block.reconstruct(), coeffs)
+    assert shorter > 0
 
 
 # --- integer kernels against their Fraction oracles --------------------------

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction as Fr
 
@@ -40,6 +41,36 @@ def test_random_gram_positive_definite():
     for seed in range(25):
         g = random_gram(2 + seed % 5, 1800 + seed, 10)
         ldl(g)  # raises if not PD
+
+
+def _int_det_random_gram(rank, seed, entry_bound):
+    """random_gram's draws, rejecting a singular A by its integer
+    determinant; also returns how many draws were rejected."""
+    rng = random.Random(seed)
+    for rejected in range(1000):
+        rows = [
+            [rng.randint(-entry_bound, entry_bound) for _ in range(rank)]
+            for _ in range(rank)
+        ]
+        if core.int_det(rows) == 0:
+            continue
+        gram = GramMatrix.from_rows(
+            [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+        )
+        return gram, rejected
+    raise AssertionError("no nonsingular draw")
+
+
+def test_random_gram_rejects_exactly_the_singular_draws():
+    # factoring A A^T fails exactly when the square A is singular; at entry
+    # bound 1 singular draws are common, so many draws are rejected
+    rejected = 0
+    for rank in range(1, 7):
+        for seed in range(60):
+            gram, skipped = _int_det_random_gram(rank, seed, 1)
+            assert random_gram(rank, seed, 1) == gram
+            rejected += skipped
+    assert rejected > 100
 
 
 def test_chain_check_identity_rank4():
@@ -135,25 +166,28 @@ def test_run_experiment_rank4_chain_and_bounds():
 
 def test_each_trial_certified_once(monkeypatch):
     # one certificate for the basis (its leading block needs none of its
-    # own), one full-rank minima enumeration and one factorization, per
-    # trial; the defect comes with the reduction, so no determinant is taken
+    # own), one full-rank fixed-radius walk, which also yields the minima of
+    # block(3), and one factorization, per trial; the defect comes with the
+    # reduction, so no determinant is taken
     def no_determinant(*args):
         raise AssertionError("a trial took a determinant of its own")
 
     assert patch_everywhere(monkeypatch, core.determinant, no_determinant) >= 1
     assert patch_everywhere(monkeypatch, bounds.orthogonality_defect, no_determinant) >= 1
-    certify, minima = reduction._certify, reduction._minima_from_gso
+    certify, walk = reduction._certify, reduction._enumerate
     factor, chain = reduction.ldl, experiments.check_defect_chain
-    calls = {"certified": 0, "full_minima": 0, "ldl": 0}
+    calls = {"certified": 0, "full_walks": 0, "tail_walks": 0, "ldl": 0}
     chain_ldl = []
 
     def counting_certify(gso):
         calls["certified"] += 1
         return certify(gso)
 
-    def counting_minima(gso):
-        calls["full_minima"] += gso.n == 5
-        return minima(gso)
+    def counting_walk(gso, radius_sq, shrink, first_below=False, tail=None):
+        if not shrink and not first_below:
+            calls["full_walks"] += gso.n == 5
+            calls["tail_walks"] += gso.n == 2
+        return walk(gso, radius_sq, shrink, first_below, tail)
 
     def counting_ldl(gram):
         calls["ldl"] += 1
@@ -166,12 +200,13 @@ def test_each_trial_certified_once(monkeypatch):
         return report
 
     monkeypatch.setattr(reduction, "_certify", counting_certify)
-    monkeypatch.setattr(reduction, "_minima_from_gso", counting_minima)
+    monkeypatch.setattr(reduction, "_enumerate", counting_walk)
     monkeypatch.setattr(reduction, "ldl", counting_ldl)
     monkeypatch.setattr(experiments, "check_defect_chain", counting_chain)
     result = run_experiment(ExperimentConfig(rank=5, trials=4, seed=1))
     assert all(record.chain_ok for record in result.records)
-    assert calls["certified"] == 4 and calls["full_minima"] == 4
+    assert calls["certified"] == 4 and calls["full_walks"] == 4
+    assert calls["tail_walks"] == 0
     assert chain_ldl == [1, 1, 1, 1]
 
 

@@ -351,6 +351,29 @@ def test_propositions_rejects_unreduced():
         check_propositions(GramMatrix.from_rows([[4, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[10**12, 0], [0, 1]],
+        [[1, Fr(1, 2), 0], [Fr(1, 2), Fr(3, 4), 0], [0, 0, 10**12]],
+    ],
+)
+def test_propositions_refuse_a_short_vector_in_a_few_nodes(monkeypatch, rows):
+    # the certificate asks only for a vector shorter than b*_l, so a huge
+    # basis norm does not make the refusal walk the ball of radius 10^12
+    walk, nodes = reduction._enumerate, []
+
+    def counting_walk(*args, **kwargs):
+        result = walk(*args, **kwargs)
+        nodes.append(result.nodes)
+        return result
+
+    monkeypatch.setattr(reduction, "_enumerate", counting_walk)
+    with pytest.raises(ValueError, match="b1 not shortest"):
+        check_propositions(GramMatrix.from_rows(rows))
+    assert sum(nodes) <= 20
+
+
 def test_propositions_refuse_rank_7_before_certifying(monkeypatch):
     def no_certify(gso):
         raise AssertionError("rank 7 was certified before the rank check")

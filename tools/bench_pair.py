@@ -1,7 +1,7 @@
 """Benchmark a change against its parent and write BENCH_<N>.json.
 
-    python3 tools/bench_pair.py PARENT N [--pairs 3] [--claim TEXT]
-        [--in-process FILE] [--workdir DIR]
+    python3 tools/bench_pair.py PARENT N [--pairs 3] [--focus WORKLOAD]
+        [--claim TEXT] [--in-process FILE] [--workdir DIR]
 
 Run from the root of the repository.  Two copies are made under the work
 directory: PARENT by `git archive`, and the change from the working tree's
@@ -11,8 +11,11 @@ tracked files and its untracked files that are not ignored.  In each copy
 alternating by seed (the parent first at odd seeds), then once with
 `--trace 1` at seed 1.  The tier-1 suite runs twice per side in the order
 parent, change, change, parent.  Runs are serial, one process at a time.
-`--pairs 10` gives the ten alternating pairs a gain claim needs; a claim
-that does not start with "none" marks the record as claiming a gain.
+`--pairs 10` gives the ten alternating pairs a gain claim needs; with
+`--focus W` only workload W runs `--pairs` seeds and every other workload
+runs at most three, which cuts ten pairs of every workload (about 45
+minutes on 2 vCPUs) to about 30.  A claim that does not start with "none" marks the
+record as claiming a gain.
 
 The output keeps the schema of the earlier BENCH files: per end-to-end
 metric the runs and medians of each side, the batch counts, failure
@@ -39,6 +42,7 @@ SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TIER1_ORDER = ("parent", "change", "change", "parent")
+UNFOCUSED_PAIRS = 3
 PYTEST_SUMMARY = re.compile(r"(\d+) passed.* in ([\d.]+)s")
 
 
@@ -52,13 +56,26 @@ def read_result(copy: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads((copy / ".perfbench_run" / "out" / name).read_text())
 
 
-def run_order(workloads, pairs):
+def pairs_per_workload(workloads, pairs, focus=None) -> dict:
+    """workload -> seeds per side: `pairs` each, or with a `focus` workload
+    `pairs` for it and at most UNFOCUSED_PAIRS for the others."""
+    if focus is not None and focus not in workloads:
+        raise ValueError(f"unknown workload {focus!r}")
+    return {
+        workload: pairs if focus in (None, workload) else min(pairs, UNFOCUSED_PAIRS)
+        for workload in workloads
+    }
+
+
+def run_order(workloads, pairs, focus=None):
     """(seed, workload, side, trace) of every perfbench run, in run order."""
+    counts = pairs_per_workload(workloads, pairs, focus)
     for seed in range(1, pairs + 1):
         sides = SIDES if seed % 2 else SIDES[::-1]
         for workload in workloads:
-            for side in sides:
-                yield seed, workload, side, 0
+            if seed <= counts[workload]:
+                for side in sides:
+                    yield seed, workload, side, 0
     for workload in workloads:
         for side in SIDES:
             yield 1, workload, side, 1
@@ -135,16 +152,22 @@ def parse_tier1(output: str) -> tuple[int, float]:
 
 
 def build_bench(copies: dict, parent: str, pairs: int, seconds: float, workloads,
-                tier1: dict, claim: str, in_process) -> dict:
+                tier1: dict, claim: str, in_process, focus=None) -> dict:
     """The BENCH_<N>.json record from the result files under each copy."""
-    sections = {name: workload_summary(copies, name, pairs) for name in workloads}
+    counts = pairs_per_workload(workloads, pairs, focus)
+    sections = {
+        name: workload_summary(copies, name, counts[name]) for name in workloads
+    }
+    seeds = f"1..{pairs}"
+    if focus is not None:
+        seeds += f" for {focus}, 1..{min(pairs, UNFOCUSED_PAIRS)} for the others"
     environment = read_result(copies["change"], workloads[0], 1, 0)["environment"]
     return {
         "harness": (
             f"tools/bench_pair.py: python3 perfbench/run.py --workload W --seed N"
             f" --seconds {seconds:g} --trace T in a copy of each side (git archive"
             f" {parent}; the change); end-to-end metrics from --trace 0 at seeds"
-            f" 1..{pairs}, the side that runs first alternating by seed (parent first"
+            f" {seeds}, the side that runs first alternating by seed (parent first"
             " at odd seeds); counts from one --trace 1 run at seed 1. Numbers compare"
             " only within this file."
         ),
@@ -204,6 +227,9 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="the parent revision")
     parser.add_argument("number", type=int, help="N of the BENCH_<N>.json to write")
     parser.add_argument("--pairs", type=int, default=3, help="seeds per side")
+    parser.add_argument("--focus", default=None, metavar="WORKLOAD",
+                        help="run --pairs seeds of this workload only, and at most"
+                        f" {UNFOCUSED_PAIRS} of every other")
     parser.add_argument("--claim", default="none")
     parser.add_argument("--in-process", type=Path, default=None,
                         help="JSON file of in-process timings to copy into the record")
@@ -213,11 +239,13 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [workload["name"] for workload in declared["workloads"]]
+    if args.focus is not None and args.focus not in workloads:
+        parser.error(f"--focus must be one of {', '.join(workloads)}")
     seconds = declared["run_seconds"]
     parent = git("rev-parse", "--short", args.parent).decode().strip()
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pair-"))
     copies = make_copies(parent, workdir)
-    for seed, workload, side, trace in run_order(workloads, args.pairs):
+    for seed, workload, side, trace in run_order(workloads, args.pairs, args.focus):
         print(f"{side} {workload} seed {seed} trace {trace}", flush=True)
         subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -235,7 +263,7 @@ def main(argv=None) -> int:
                   else {"note": "not measured"})
     record = build_bench(
         copies, parent, args.pairs, seconds, workloads,
-        tier1_summary(outputs), args.claim, in_process,
+        tier1_summary(outputs), args.claim, in_process, args.focus,
     )
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
