@@ -36,7 +36,6 @@ from .experiments import (
     summary_json,
 )
 from .reduction import (
-    MAX_MINIMA_RANK,
     hkz_reduce,
     is_hkz_reduced,
     successive_minima,
@@ -130,13 +129,11 @@ def cmd_minima(args) -> int:
     gram, code = _read_gram(args.file)
     if gram is None:
         return code
-    if gram.n > MAX_MINIMA_RANK:
-        print(
-            f"error: minima enumeration unsupported above rank {MAX_MINIMA_RANK}",
-            file=sys.stderr,
-        )
+    try:
+        minima = successive_minima(gram)
+    except ValueError as exc:  # the rank cap
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    minima = successive_minima(gram)
     if args.format == "json":
         payload = {
             "minima_sq": [format_rat(v) for v in minima.minima_sq],

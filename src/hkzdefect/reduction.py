@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from .core import (
@@ -36,8 +36,9 @@ class ShortestVectorResult:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """U G U^T, the transform U, the work done, and the defect of U G U^T,
-    exact from det(G) alone: det(U G U^T) = det(U)^2 det(G) = det(G)."""
+    """U G U^T, the transform U, the work done (one SVP per level, so
+    svp_calls = n), and the defect of U G U^T, exact from det(G) alone:
+    det(U G U^T) = det(U)^2 det(G) = det(G)."""
 
     reduced: GramMatrix
     transform: Unimodular
@@ -120,10 +121,13 @@ def _enumerate(
     at a level whose higher coordinates are all zero it scans only values
     >= 0.  With `first_below` it keeps only partial norms < radius_sq and
     returns at the first nonzero vector, so `found` is empty exactly when no
-    vector is strictly shorter than radius_sq.  With `tail = t` it also lists
-    in `tail` the (partial norm, x[t:]) of every node of level t whose x[t:]
-    is nonzero: the vectors of the projected block gso.block(t) within
-    radius_sq, one per +/- pair.
+    vector is strictly shorter than radius_sq.  Otherwise `found` keeps only
+    the primitive vectors (gcd 1): a multiple k w, k >= 2, is longer than w,
+    which the walk also finds, so no greedy pick of independent minima ever
+    takes it.  With `tail = t` it also lists in `tail` the (partial norm,
+    x[t:]) of every node of level t whose x[t:] is primitive: the primitive
+    vectors of the projected block gso.block(t) within radius_sq, one per
+    +/- pair.
     """
     mu, bstar, n = gso.mu, gso.bstar, gso.n
     x = [0] * n
@@ -150,17 +154,19 @@ def _enumerate(
                     break
                 nodes += 1
                 x[level] = value
-                if level == tail and (value or not top):
+                if level == tail and gcd(*x[level:]) == 1:
                     projected.append((norm_here, _normalize_sign(tuple(x[level:]))))
                 if level:
                     if descend(level - 1, norm_here, top and not value):
                         return True
                 elif any(x):
                     coeffs = tuple(x)
-                    if half:
+                    if first_below:
                         found.append((norm_here, _normalize_sign(coeffs)))
-                        if first_below:
-                            return True
+                        return True
+                    if half:
+                        if gcd(*coeffs) == 1:
+                            found.append((norm_here, _normalize_sign(coeffs)))
                     else:
                         if norm_here < radius_sq:
                             radius_sq = norm_here
@@ -205,13 +211,15 @@ def projected_gram(gram: GramMatrix, index: int) -> GramMatrix:
     return ldl(gram).block(index - 1).reconstruct()
 
 
-def _size_reduce(mu: list[list[Fraction]], rows: list[list[int]]) -> None:
-    """Lazy size reduction in place: make every |mu_{i,j}| <= 1/2.
+def _size_reduce(gso: GSOData, rows: list[list[int]]) -> GSOData:
+    """Lazy size reduction: the GSO data with every |mu_{i,j}| <= 1/2.
 
-    `mu` holds the GSO coefficients of the basis whose rows, as integer
-    combinations of some fixed basis, are `rows`; each step b_i -= q b_j is
-    applied to both.  The orthogonalized norms bstar do not change.
+    `gso` is the GSO data of the basis whose rows, as integer combinations of
+    some fixed basis, are `rows`; each step b_i -= q b_j is applied to `rows`
+    in place and to a copy of `mu`, so `gso` itself is left as it was.  The
+    orthogonalized norms bstar do not change.
     """
+    mu = [list(row) for row in gso.mu]
     for i in range(1, len(mu)):
         for j in range(i - 1, -1, -1):
             v = mu[i][j]
@@ -223,6 +231,7 @@ def _size_reduce(mu: list[list[Fraction]], rows: list[list[int]]) -> None:
             for k in range(j):
                 mu[i][k] -= q * mu[j][k]
             mu[i][j] = v - q
+    return GSOData(tuple(map(tuple, mu)), gso.bstar)
 
 
 def size_reduce(gram: GramMatrix) -> tuple[GramMatrix, Unimodular]:
@@ -232,9 +241,8 @@ def size_reduce(gram: GramMatrix) -> tuple[GramMatrix, Unimodular]:
     the +-1/2 boundary are fixed points.  The orthogonalized norms bstar are
     invariant under this transform.
     """
-    mu = [list(row) for row in ldl(gram).mu]
     rows = int_identity(gram.n)
-    _size_reduce(mu, rows)
+    _size_reduce(ldl(gram), rows)
     u = Unimodular.from_rows(rows)
     return apply_unimodular(gram, u), u
 
@@ -294,7 +302,7 @@ def hkz_reduce(gram: GramMatrix) -> ReductionReport:
     row is exactly -1/2, which fixes the sign freedom of the +-1/2 boundary.
     The output is a fixed point: reducing it again returns it unchanged.
 
-    One integer transform, relative to the input basis, and the GSO data of
+    One integer transform, relative to the input basis, and one `GSOData` of
     the current basis are carried through the levels.  The Gram matrix is
     rebuilt and factored only at a level whose shortest vector is not already
     b_i, and once more at the end.
@@ -305,14 +313,10 @@ def hkz_reduce(gram: GramMatrix) -> ReductionReport:
     n = gram.n
     rows = int_identity(n)
     gso = ldl(gram)
-    mu = [list(row) for row in gso.mu]
-    bstar = gso.bstar
-    det = prod(bstar)
-    svp_calls = 0
+    det = prod(gso.bstar)
     total_nodes = 0
     for level in range(n):
-        best = _shortest_from_gso(GSOData(tuple(map(tuple, mu)), bstar).block(level))
-        svp_calls += 1
+        best = _shortest_from_gso(gso.block(level))
         total_nodes += best.nodes_visited
         if any(best.coeffs[1:]):
             block = complete_primitive_row(best.coeffs)
@@ -322,14 +326,12 @@ def hkz_reduce(gram: GramMatrix) -> ReductionReport:
                 for block_row in block
             ]
             gso = ldl(apply_unimodular(gram, Unimodular(tuple(map(tuple, rows)))))
-            mu = [list(row) for row in gso.mu]
-            bstar = gso.bstar
-        _size_reduce(mu, rows)
+        gso = _size_reduce(gso, rows)
     signs = [1] * n
     half = Fraction(1, 2)
     for t in range(1, n):
         for j in range(t):
-            v = mu[t][j]
+            v = gso.mu[t][j]
             if v != 0:
                 if signs[j] * v == -half:
                     signs[t] = -1
@@ -339,7 +341,7 @@ def hkz_reduce(gram: GramMatrix) -> ReductionReport:
     )
     reduced = apply_unimodular(gram, transform)
     return ReductionReport(
-        reduced, transform, svp_calls, total_nodes, prod(reduced.diagonal()) / det
+        reduced, transform, n, total_nodes, prod(reduced.diagonal()) / det
     )
 
 
@@ -425,8 +427,8 @@ def _minima_from_gso(
     an independent witness in that basis, as (norm_sq, coeffs); and with
     `tail = t` also those of the projected block gso.block(t) (else []).
 
-    Enumerates every vector of squared norm at most max_i ||b_i||^2 and
-    greedily picks independent vectors in order of increasing norm.  That
+    Enumerates every primitive vector of squared norm at most max_i ||b_i||^2
+    and greedily picks independent vectors in order of increasing norm.  That
     radius holds the n independent vectors b_1, ..., b_n, so lambda_n is
     within it, and with lambda_n the witnesses for all n minima.  The same
     walk passes every vector of block(t) within that radius, and the last

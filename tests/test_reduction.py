@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as Fr
 from itertools import product
 
@@ -291,6 +292,22 @@ def test_minima_rank_cap():
     )
     with pytest.raises(ValueError, match="rank 6"):
         successive_minima(g)
+
+
+def test_minima_walk_keeps_no_multiples():
+    # every multiple k b_1 with k <= 10^4 lies inside the walk's radius
+    # max ||b_i||^2 = 10^8; the walk visits them all but keeps only the
+    # primitive b_1, so memory does not grow with the radius
+    gram = GramMatrix.from_rows([[1, 0], [0, 10**8]])
+    tracemalloc.start()
+    try:
+        result = successive_minima(gram)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.minima_sq == (1, 10**8)
+    assert result.witnesses == ((1, 0), (0, 1))
+    assert peak < 500_000
 
 
 def _brute_force_minima(gram, box=5):
