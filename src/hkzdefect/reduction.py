@@ -95,7 +95,6 @@ class _Walk(NamedTuple):
     radius_sq: Fraction
     found: _Vectors
     nodes: int
-    tail: _Vectors
 
 
 def _enumerate(
@@ -103,7 +102,6 @@ def _enumerate(
     radius_sq: Fraction,
     shrink: bool,
     first_below: bool = False,
-    tail: int | None = None,
 ) -> _Walk:
     """Depth-first exact enumeration of the nonzero x with x^T G x <= radius_sq.
 
@@ -124,15 +122,11 @@ def _enumerate(
     vector is strictly shorter than radius_sq.  Otherwise `found` keeps only
     the primitive vectors (gcd 1): a multiple k w, k >= 2, is longer than w,
     which the walk also finds, so no greedy pick of independent minima ever
-    takes it.  With `tail = t` it also lists in `tail` the (partial norm,
-    x[t:]) of every node of level t whose x[t:] is primitive: the primitive
-    vectors of the projected block gso.block(t) within radius_sq, one per
-    +/- pair.
+    takes it.
     """
     mu, bstar, n = gso.mu, gso.bstar, gso.n
     x = [0] * n
     found: _Vectors = []
-    projected: _Vectors = []
     nodes = 0
     half = not shrink
 
@@ -154,8 +148,6 @@ def _enumerate(
                     break
                 nodes += 1
                 x[level] = value
-                if level == tail and gcd(*x[level:]) == 1:
-                    projected.append((norm_here, _normalize_sign(tuple(x[level:]))))
                 if level:
                     if descend(level - 1, norm_here, top and not value):
                         return True
@@ -178,7 +170,7 @@ def _enumerate(
         return False
 
     descend(n - 1, Fraction(0), True)
-    return _Walk(radius_sq, found, nodes, projected)
+    return _Walk(radius_sq, found, nodes)
 
 
 def shortest_vector(gram: GramMatrix) -> ShortestVectorResult:
@@ -420,25 +412,18 @@ def _pick_minima(found: _Vectors, n: int) -> _Vectors:
     raise RuntimeError("enumeration radius failed to produce n independent vectors")
 
 
-def _minima_from_gso(
-    gso: GSOData, tail: int | None = None
-) -> tuple[_Vectors, _Vectors]:
+def _minima_from_gso(gso: GSOData) -> _Vectors:
     """The n successive minima of the basis given by its GSO data, each with
-    an independent witness in that basis, as (norm_sq, coeffs); and with
-    `tail = t` also those of the projected block gso.block(t) (else []).
+    an independent witness in that basis, as (norm_sq, coeffs).
 
     Enumerates every primitive vector of squared norm at most max_i ||b_i||^2
     and greedily picks independent vectors in order of increasing norm.  That
     radius holds the n independent vectors b_1, ..., b_n, so lambda_n is
-    within it, and with lambda_n the witnesses for all n minima.  The same
-    walk passes every vector of block(t) within that radius, and the last
-    minimum of block(t) is at most max_{i>t} ||b_i(t+1)||^2 <= max_i ||b_i||^2,
-    so its minima need no walk of their own.  Callers check the rank
-    (`_require_minima_rank`) before any enumeration.
+    within it, and with lambda_n the witnesses for all n minima.  Callers
+    check the rank (`_require_minima_rank`) before any enumeration.
     """
-    walk = _enumerate(gso, max(_basis_norms(gso)), shrink=False, tail=tail)
-    tail_minima = [] if tail is None else _pick_minima(walk.tail, gso.n - tail)
-    return _pick_minima(walk.found, gso.n), tail_minima
+    walk = _enumerate(gso, max(_basis_norms(gso)), shrink=False)
+    return _pick_minima(walk.found, gso.n)
 
 
 def successive_minima(gram: GramMatrix) -> SuccessiveMinima:
@@ -455,7 +440,7 @@ def successive_minima(gram: GramMatrix) -> SuccessiveMinima:
     t = report.transform.entries
     minima = []
     witnesses = []
-    for norm_sq, coeffs in _minima_from_gso(gso)[0]:
+    for norm_sq, coeffs in _minima_from_gso(gso):
         original = tuple(
             sum(coeffs[r] * t[r][c] for r in range(n)) for c in range(n)
         )
@@ -516,22 +501,19 @@ def check_propositions(gram: GramMatrix) -> PropositionReport:
     Requires a certified HKZ-reduced input and rank <= 6 (successive minima).
     """
     _require_minima_rank(gram.n)
-    return _propositions(gram, ldl(gram))[0]
+    return _propositions(ldl(gram))
 
 
-def _propositions(
-    gram: GramMatrix, gso: GSOData, tail: int | None = None
-) -> tuple[PropositionReport, list[Fraction]]:
-    """The report of `check_propositions`, and the minima of gso.block(tail)
-    taken from the same minima walk (see `_minima_from_gso`)."""
+def _propositions(gso: GSOData) -> PropositionReport:
+    """The report of `check_propositions` for the basis given by its GSO data."""
     cert = _certify(gso)
     if not cert.ok:
         raise ValueError(
             f"input not HKZ reduced (not HKZ certified: {cert.failing_condition})"
         )
-    picked, tail_picked = _minima_from_gso(gso, tail)
-    minima = [norm_sq for norm_sq, _ in picked]
-    n = gram.n
+    minima = [norm_sq for norm_sq, _ in _minima_from_gso(gso)]
+    norms = _basis_norms(gso)
+    n = gso.n
     adjacent = tuple(
         InequalityCheck(
             f"bstar[{i + 1}] <= 4/3 bstar[{i + 2}]",
@@ -552,14 +534,14 @@ def _propositions(
         InequalityCheck(
             f"4/{i + 4} lambda_{i + 1}^2 <= ||b_{i + 1}||^2",
             Fraction(4, i + 4) * minima[i],
-            gram[i][i],
+            norms[i],
         )
         for i in range(n)
     )
     upper = tuple(
         InequalityCheck(
             f"||b_{i + 1}||^2 <= {i + 4}/4 lambda_{i + 1}^2",
-            gram[i][i],
+            norms[i],
             Fraction(i + 4, 4) * minima[i],
         )
         for i in range(n)
@@ -572,8 +554,7 @@ def _propositions(
         )
         for i in range(n)
     )
-    report = PropositionReport(adjacent, skip_two, lower, upper, bstar_le)
-    return report, [norm_sq for norm_sq, _ in tail_picked]
+    return PropositionReport(adjacent, skip_two, lower, upper, bstar_le)
 
 
 @dataclass(frozen=True)
@@ -614,8 +595,7 @@ def check_defect_chain(gram: GramMatrix) -> ChainReport:
         writing B4 for ||b_4(4)||^2;
       * ||b_i||^2 <= ||b_i(4)||^2 + 29/24 B4 for i >= 4;
       * ||b_i||^2 <= (i/4 + 29/24) lambda_{i-3}^2 of the lattice projected
-        past b_1, b_2, b_3 (its minima indexed from 1, read off the walk
-        that finds the minima of the whole lattice);
+        past b_1, b_2, b_3 (its minima indexed from 1);
       * every family of `check_propositions`, which certifies the input and
         includes ||b_i(i)||^2 <= lambda_i^2 in the full lattice.
     """
@@ -623,7 +603,7 @@ def check_defect_chain(gram: GramMatrix) -> ChainReport:
     if not 4 <= n <= MAX_MINIMA_RANK:
         raise ValueError(f"chain check needs rank 4..{MAX_MINIMA_RANK}")
     gso = ldl(gram)
-    propositions, tail_minima = _propositions(gram, gso, tail=3)
+    propositions = _propositions(gso)
     b4 = gso.bstar[3]
     bstar_vs_fourth = tuple(
         InequalityCheck(label, gso.bstar[i], factor * b4)
@@ -634,6 +614,7 @@ def check_defect_chain(gram: GramMatrix) -> ChainReport:
         )
     )
     tail = gso.block(3)
+    tail_minima = [norm_sq for norm_sq, _ in _minima_from_gso(tail)]
     norm_vs_projected = tuple(
         InequalityCheck(
             f"||b_{i + 1}||^2 <= ||b_{i + 1}(4)||^2 + 29/24 ||b_4(4)||^2",

@@ -84,6 +84,7 @@ def test_record_keeps_the_earlier_schema(copies):
     assert section.keys() == earlier["workloads"]["proof_grid"].keys()
     assert section["end_to_end"]["wall_s"].keys() == (
         earlier["workloads"]["proof_grid"]["end_to_end"]["wall_s"].keys()
+        | {"parent_spread", "resolved"}
     )
     assert record["tier1"].keys() == earlier["tier1"].keys() - {"note"}
     assert "compare only within this file" in record["harness"]
@@ -104,6 +105,31 @@ def test_runs_and_medians_per_metric(copies):
     assert wall["unit"] == "s"
     two = build(copies, pairs=2)["workloads"]["proof_grid"]["end_to_end"]["wall_s"]
     assert two["parent_runs"] == [0.3, 0.1] and two["parent_median"] == 0.2
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(copies):
+    # BENCHMARK.json bounds wall_s at 0.25 and peak_rss_mb at 0.05; the
+    # parent's wall_s runs 0.1, 0.2, 0.3 have quartiles 0.15 and 0.25
+    sections = build(copies)["workloads"]
+    wall = sections["proof_grid"]["end_to_end"]["wall_s"]
+    assert wall["parent_spread"] == 0.5
+    assert wall["resolved"] is False
+    rss = sections["proof_grid"]["end_to_end"]["peak_rss_mb"]
+    assert (rss["parent_spread"], rss["resolved"]) == (0.0, True)
+    # the same spread is resolved when every change run beats every parent run
+    for seed, wall_s in zip((1, 2, 3), (0.05, 0.09, 0.07)):
+        write_result(copies["change"], "proof_grid", seed, 0,
+                     {"wall_s": (wall_s, "s"), "peak_rss_mb": (24.0, "MB")})
+    wall = build(copies)["workloads"]["proof_grid"]["end_to_end"]["wall_s"]
+    assert (wall["parent_spread"], wall["resolved"]) == (0.5, True)
+    # items_per_s is better higher: change runs above every parent run win
+    rule = {"better": "higher", "bound": 0.25}
+    parent = [1, 2, 3]
+    spread = bench_pair.parent_spread(parent)
+    assert spread == 0.5
+    assert bench_pair.is_resolved({"parent": parent, "change": [4, 5, 6]}, spread, rule)
+    assert not bench_pair.is_resolved({"parent": parent, "change": [0.5]}, spread, rule)
+    assert bench_pair.parent_spread([2.0]) is None
 
 
 def test_bookkeeping_and_traced_values(copies):

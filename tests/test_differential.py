@@ -52,8 +52,10 @@ from hkzdefect.reduction import (
     _basis_norms,
     _enumerate,
     _independent_over_q,
+    _minima_from_gso,
     _nearest_int,
     _normalize_sign,
+    _pick_minima,
     complete_primitive_row,
 )
 
@@ -376,23 +378,20 @@ def test_enumerate_matches_old_enumerator(index):
         assert len(walk.found) == len(_primitive(below))
         assert set(walk.found) == _primitive(below)
         assert 2 * walk.nodes == nodes + gso.n
-        assert walk.tail == []
 
 
 @pytest.mark.parametrize("index", range(len(ORACLE_BASES)))
 def test_walk_records_every_projected_block(index):
-    # the vectors a walk records at level l are the fixed-radius enumeration
-    # of block(l) at the same radius, one per +/- pair, with their norms
+    # each projected block's own minima walk, at the block's radius, picks
+    # the minima and witnesses that a pick over the oracle's enumeration of
+    # block(l) at the whole basis's larger radius gives
     for gso in _gso_blocks(ORACLE_BASES[index]):
         radius = max(_basis_norms(gso))
-        walks = [_enumerate(gso, radius, shrink=False, tail=t) for t in range(gso.n)]
-        for level, walk in enumerate(walks):
+        for level in range(gso.n):
             block = gso.block(level)
             below, _ = _Enumerator(block.mu, block.bstar).below(radius)
-            assert walk.found == walks[0].found
-            assert walk.nodes == walks[0].nodes
-            assert len(walk.tail) == len(_primitive(below))
-            assert set(walk.tail) == _primitive(below)
+            oracle = _pick_minima(sorted(_primitive(below)), block.n)
+            assert _minima_from_gso(block) == oracle
 
 
 def _random_blocks(seeds):

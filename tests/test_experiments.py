@@ -166,7 +166,7 @@ def test_run_experiment_rank4_chain_and_bounds():
 
 def test_each_trial_certified_once(monkeypatch):
     # one certificate for the basis (its leading block needs none of its
-    # own), one full-rank fixed-radius walk, which also yields the minima of
+    # own), one full-rank fixed-radius walk, one fixed-radius walk of
     # block(3), and one factorization, per trial; the defect comes with the
     # reduction, so no determinant is taken
     def no_determinant(*args):
@@ -183,11 +183,11 @@ def test_each_trial_certified_once(monkeypatch):
         calls["certified"] += 1
         return certify(gso)
 
-    def counting_walk(gso, radius_sq, shrink, first_below=False, tail=None):
+    def counting_walk(gso, radius_sq, shrink, first_below=False):
         if not shrink and not first_below:
             calls["full_walks"] += gso.n == 5
             calls["tail_walks"] += gso.n == 2
-        return walk(gso, radius_sq, shrink, first_below, tail)
+        return walk(gso, radius_sq, shrink, first_below)
 
     def counting_ldl(gram):
         calls["ldl"] += 1
@@ -206,7 +206,7 @@ def test_each_trial_certified_once(monkeypatch):
     result = run_experiment(ExperimentConfig(rank=5, trials=4, seed=1))
     assert all(record.chain_ok for record in result.records)
     assert calls["certified"] == 4 and calls["full_walks"] == 4
-    assert calls["tail_walks"] == 0
+    assert calls["tail_walks"] == 4
     assert chain_ldl == [1, 1, 1, 1]
 
 

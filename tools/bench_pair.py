@@ -20,6 +20,11 @@ record as claiming a gain.
 The output keeps the schema of the earlier BENCH files: per end-to-end
 metric the runs and medians of each side, the batch counts, failure
 fractions and golden checks, and the traced per-batch counts and self times.
+Each end-to-end metric also carries the parent runs' spread, their
+interquartile range over their median, and `resolved`: false when that
+spread exceeds the metric's `bound` in BENCHMARK.json and not every change
+run is better than every parent run, so the pair cannot tell a change
+within the bound from noise.
 Numbers compare only within one file: machines and their load differ.
 """
 
@@ -48,6 +53,30 @@ PYTEST_SUMMARY = re.compile(r"(\d+) passed.* in ([\d.]+)s")
 
 def _round(value):
     return round(value, 6) if isinstance(value, float) else value
+
+
+def load_benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def parent_spread(runs):
+    """Interquartile range over the median of the parent runs, or None
+    when fewer than two runs (or a zero median) leave it undefined."""
+    median = statistics.median(runs)
+    if len(runs) < 2 or not median:
+        return None
+    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return (q3 - q1) / abs(median)
+
+
+def is_resolved(values: dict, spread, rule: dict) -> bool:
+    """True when the parent runs' `spread` is within the metric's bound, or
+    when every change run is better than every parent run."""
+    if spread is not None and spread <= rule["bound"]:
+        return True
+    if rule["better"] == "lower":
+        return max(values["change"]) < min(values["parent"])
+    return min(values["change"]) > max(values["parent"])
 
 
 def read_result(copy: Path, workload: str, seed: int, trace: int) -> dict:
@@ -81,9 +110,10 @@ def run_order(workloads, pairs, focus=None):
             yield 1, workload, side, 1
 
 
-def workload_summary(copies: dict, workload: str, pairs: int) -> dict:
+def workload_summary(copies: dict, workload: str, pairs: int, rules: dict) -> dict:
     """One workload's section: end-to-end runs and medians per side, the
-    runs' bookkeeping, and the traced per-layer values of seed 1."""
+    parent runs' spread and whether it resolves the metric under its `rules`
+    entry, the runs' bookkeeping, and the traced per-layer values of seed 1."""
     seeds = range(1, pairs + 1)
     runs = {
         side: [read_result(copies[side], workload, seed, 0) for seed in seeds]
@@ -95,6 +125,7 @@ def workload_summary(copies: dict, workload: str, pairs: int) -> dict:
             side: [r["metrics"][metric]["value"] for r in runs[side]] for side in SIDES
         }
         medians = {side: statistics.median(values[side]) for side in SIDES}
+        spread = parent_spread(values["parent"])
         end_to_end[metric] = {
             "parent_median": _round(medians["parent"]),
             "parent_runs": [_round(v) for v in values["parent"]],
@@ -105,6 +136,8 @@ def workload_summary(copies: dict, workload: str, pairs: int) -> dict:
                 round(medians["change"] / medians["parent"] - 1, 4)
                 if medians["parent"] else None
             ),
+            "parent_spread": None if spread is None else round(spread, 4),
+            "resolved": is_resolved(values, spread, rules[metric]),
         }
     section = {
         "end_to_end": end_to_end,
@@ -155,8 +188,10 @@ def build_bench(copies: dict, parent: str, pairs: int, seconds: float, workloads
                 tier1: dict, claim: str, in_process, focus=None) -> dict:
     """The BENCH_<N>.json record from the result files under each copy."""
     counts = pairs_per_workload(workloads, pairs, focus)
+    rules = {rule["name"]: rule for rule in load_benchmark()["end_to_end"]}
     sections = {
-        name: workload_summary(copies, name, counts[name]) for name in workloads
+        name: workload_summary(copies, name, counts[name], rules)
+        for name in workloads
     }
     seeds = f"1..{pairs}"
     if focus is not None:
@@ -237,7 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = load_benchmark()
     workloads = [workload["name"] for workload in declared["workloads"]]
     if args.focus is not None and args.focus not in workloads:
         parser.error(f"--focus must be one of {', '.join(workloads)}")
