@@ -36,6 +36,7 @@ from .experiments import (
     summary_json,
 )
 from .reduction import (
+    MAX_MINIMA_RANK,
     hkz_reduce,
     is_hkz_reduced,
     successive_minima,
@@ -46,6 +47,10 @@ EXIT_VERIFICATION = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_UNSUPPORTED = 4
+
+# verify-proof's step range; a case scan visits about N^3/24 points at step 1/N
+MAX_STEP = Fraction(1, 50)
+MIN_STEP = Fraction(1, 1000)
 
 
 def _read_gram(path: str):
@@ -191,12 +196,11 @@ def cmd_verify_proof(args) -> int:
     except ValueError:
         print(f"error: invalid step {args.step!r}", file=sys.stderr)
         return EXIT_PARSE
-    if step <= 0 or step > Fraction(1, 50):
-        print("error: step must be a positive rational <= 1/50", file=sys.stderr)
+    if step <= 0 or step > MAX_STEP:
+        print(f"error: step must be a positive rational <= {MAX_STEP}", file=sys.stderr)
         return EXIT_INVALID
-    if step < Fraction(1, 1000):
-        # a case scan visits about N^3/24 points at step 1/N
-        print("error: step must be >= 1/1000", file=sys.stderr)
+    if step < MIN_STEP:
+        print(f"error: step must be >= {MIN_STEP}", file=sys.stderr)
         return EXIT_INVALID
     if (Fraction(1, 2) / step).denominator != 1:
         print("error: step must divide 1/2", file=sys.stderr)
@@ -258,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, func in (
         ("reduce", "HKZ-reduce a Gram matrix file", cmd_reduce),
         ("defect", "orthogonality defect of a Gram matrix file", cmd_defect),
-        ("minima", "successive minima with witnesses (rank <= 6)", cmd_minima),
+        ("minima", f"successive minima with witnesses (rank <= {MAX_MINIMA_RANK})",
+         cmd_minima),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
@@ -279,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--step",
         default="1/100",
-        help="grid step as p/q, from 1/1000 to 1/50, dividing 1/2",
+        help=f"grid step as p/q, from {MIN_STEP} to {MAX_STEP}, dividing 1/2",
     )
     p.add_argument("--case", default=None, help="restrict to one case id")
     p.add_argument("--out", default=None)

@@ -152,15 +152,14 @@ class GSOData:
     def n(self) -> int:
         return len(self.bstar)
 
-    def block(self, start: int, stop: int | None = None) -> "GSOData":
-        """GSO data of b_start, ..., b_{stop-1} (0-based) projected past the
+    def block(self, start: int) -> "GSOData":
+        """GSO data of b_start, ..., b_{n-1} (0-based) projected past the
         earlier vectors: the rows and columns of `mu` from `start`, and
-        `bstar[start:stop]`.  Every projected block is cut here."""
-        stop = self.n if stop is None else stop
-        if not 0 <= start < stop <= self.n:
-            raise ValueError(f"block [{start}, {stop}) out of range 0..{self.n}")
-        mu = tuple(row[start:] for row in self.mu[start:stop])
-        return GSOData(mu, self.bstar[start:stop])
+        `bstar[start:]`.  Every projected block is cut here."""
+        if not 0 <= start < self.n:
+            raise ValueError(f"block start {start} out of range 0..{self.n - 1}")
+        mu = tuple(row[start:] for row in self.mu[start:])
+        return GSOData(mu, self.bstar[start:])
 
     def reconstruct(self) -> GramMatrix:
         n = self.n

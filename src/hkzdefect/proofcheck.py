@@ -55,14 +55,6 @@ POS_KMIN = "POS_KMIN"
 POS_KMAX = "POS_KMAX"
 ALL_CASES = (NEG_KMIN, NEG_KMAX, POS_KMIN, POS_KMAX)
 
-# equality Q(sigma) = 0 is allowed only at these (lambda, mu, sigma) points
-EXPECTED_EQUALITIES = {
-    NEG_KMIN: (),
-    NEG_KMAX: ((HALF, HALF, -HALF),),
-    POS_KMIN: (),
-    POS_KMAX: ((HALF, HALF, HALF),),
-}
-
 
 @dataclass(frozen=True)
 class CasePoint:
@@ -92,15 +84,24 @@ class CasePoint:
 EXTREMAL_POINT_POS = CasePoint(HALF, HALF, HALF, Fraction(1), Fraction(3, 4))
 EXTREMAL_POINT_NEG = CasePoint(HALF, HALF, -HALF, Fraction(1), Fraction(3, 4))
 
+# equality Q(sigma) = 0 is allowed only at these points
+EXPECTED_EQUALITIES = {
+    NEG_KMIN: (),
+    NEG_KMAX: (EXTREMAL_POINT_NEG,),
+    POS_KMIN: (),
+    POS_KMAX: (EXTREMAL_POINT_POS,),
+}
+
 
 def defect_from_parameters(point: CasePoint) -> Fraction:
     """Defect of the rank-3 basis with these parameters:
-    (1 + lambda^2/k) * (1 + (mu^2 + k sigma^2)/l)."""
-    if point.k <= 0 or point.l <= 0:
+    (1 + lambda^2/k) * (1 + (mu^2 + k sigma^2)/l).  Written with products and
+    the integer 1 (1 + x on a float x is 1.0 + x), so on floats it performs
+    the float check's operations in their order."""
+    lam, mu, sigma, k, l = point.as_tuple()
+    if k <= 0 or l <= 0:
         raise ValueError("k and l must be positive")
-    first = 1 + point.lam**2 / point.k
-    second = 1 + (point.mu**2 + point.k * point.sigma**2) / point.l
-    return first * second
+    return (1 + lam * lam / k) * (1 + (mu * mu + k * sigma * sigma) / l)
 
 
 def gram_from_parameters(point: CasePoint) -> GramMatrix:
@@ -386,8 +387,7 @@ class CaseScanReport:
     @property
     def passed(self) -> bool:
         expected = EXPECTED_EQUALITIES[self.case_id]
-        found = {(p.lam, p.mu, p.sigma) for p in self.equality_points}
-        return not self.violations and found <= set(expected)
+        return not self.violations and set(self.equality_points) <= set(expected)
 
 
 def grid_points(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
@@ -550,13 +550,13 @@ def _envelope_pieces(side: str, lam, mu, sigma, big_l=1, big_s=1):
 def envelope_value(
     side: str, lam: Fraction, mu: Fraction, sigma: Fraction, k: Fraction
 ) -> Fraction:
-    """The defect envelope as a function of the middle norm k:
-    (1 + lambda^2/k)(1 + (mu^2 + k sigma^2)/N(k)) with N(k) = C - k E."""
+    """The defect envelope as a function of the middle norm k: the defect at
+    l = N(k) = C - k E."""
     c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
     n_val = c_val - k * e_val
     if k <= 0 or n_val <= 0:
         raise ValueError("outside case region: k and N(k) must be positive")
-    return (1 + lam**2 / k) * (1 + (mu**2 + k * sigma**2) / n_val)
+    return defect_from_parameters(CasePoint(lam, mu, sigma, k, n_val))
 
 
 def _envelope_polys(
@@ -631,21 +631,9 @@ def envelope_second_difference(
     )
 
 
-def _envelope_value_float(side, lam, mu, sigma, k) -> float:
-    # int - float is the IEEE float subtraction, so (C, E) match 1.0 - x
-    c_val, e_val = _envelope_pieces(side, lam, mu, sigma)
-    n_val = c_val - k * e_val
-    return (1.0 + lam * lam / k) * (1.0 + (mu * mu + k * sigma * sigma) / n_val)
-
-
 def envelope_second_difference_float(side: str, point: CasePoint, step: float) -> float:
-    lam, mu = float(point.lam), float(point.mu)
-    sigma, k = float(point.sigma), float(point.k)
-    return (
-        _envelope_value_float(side, lam, mu, sigma, k - step)
-        - 2.0 * _envelope_value_float(side, lam, mu, sigma, k)
-        + _envelope_value_float(side, lam, mu, sigma, k + step)
-    )
+    floats = CasePoint(*map(float, point.as_tuple()))
+    return envelope_second_difference(side, floats, step)
 
 
 # the verbatim numerator displays (`displays`); mismatches are reported,
@@ -793,8 +781,8 @@ def _convexity_pass(cases: tuple[str, ...], per_axis: int):
                 _envelope_polys(side, i, j, s, big_l, big_s, big_m)
             )
             k_den *= parts
-            # `_envelope_value_float` with the same operations in the same order,
-            # so each fcheck is bit for bit the float second difference;
+            # `envelope_second_difference_float` with the same operations in the
+            # same order, so each fcheck is bit for bit its float value;
             # int / int division rounds k and h correctly
             lam_f, mu_f, sigma_f = i / big_l, j / big_l, s / big_s
             c_f, e_f = _envelope_pieces(side, lam_f, mu_f, sigma_f)
@@ -870,22 +858,20 @@ class ExtremalFormReport:
 def extremal_gram(sign: int = +1) -> GramMatrix:
     """The rank-3 Gram matrix attaining defect 25/12: parameters
     lambda = mu = 1/2, sigma = +-1/2, k = 1, l = 3/4."""
-    point = EXTREMAL_POINT_POS if sign > 0 else EXTREMAL_POINT_NEG
-    return gram_from_parameters(point)
+    return gram_from_parameters(EXTREMAL_POINT_POS if sign > 0 else EXTREMAL_POINT_NEG)
 
 
 def verify_extremal_form() -> ExtremalFormReport:
     """Both sign variants of the extremal form are HKZ reduced with defect
     exactly 25/12; the defect is invariant under scaling."""
     variants = []
-    for sign in (+1, -1):
-        gram = extremal_gram(sign)
-        cert = reduction.is_hkz_reduced(gram)
+    for point in (EXTREMAL_POINT_POS, EXTREMAL_POINT_NEG):
+        gram = gram_from_parameters(point)
         variants.append(
             ExtremalVariantReport(
-                sigma=HALF if sign > 0 else -HALF,
+                sigma=point.sigma,
                 gram=gram,
-                hkz_ok=cert.ok,
+                hkz_ok=reduction.is_hkz_reduced(gram).ok,
                 defect=bounds.orthogonality_defect(gram),
             )
         )

@@ -24,7 +24,9 @@ MACHINE = {"python": "3.11.7", "nproc": 2, "platform": "Linux-x86_64"}
 ENVIRONMENT = {**MACHINE, "commit": "c0ffee"}
 
 
-def write_result(copy, workload, seed, trace, metrics, problems=(), fail_frac=0.0):
+def write_result(copy, workload, seed, trace, metrics, problems=(), fail_frac=0.0,
+                 cpu_s=1.0):
+    """A result file, and for an untraced run the CPU seconds `main` records."""
     out = copy / ".perfbench_run" / "out"
     out.mkdir(parents=True, exist_ok=True)
     record = {
@@ -39,19 +41,25 @@ def write_result(copy, workload, seed, trace, metrics, problems=(), fail_frac=0.
     }
     name = f"result-{workload}-seed{seed}-trace{trace}.json"
     (out / name).write_text(json.dumps(record))
+    if trace == 0:
+        cpu_name = f"cpu-{workload}-seed{seed}-trace{trace}.json"
+        (out / cpu_name).write_text(json.dumps({"cpu_s": cpu_s}))
 
 
 @pytest.fixture
 def copies(tmp_path):
-    """Three seeds per side; the change's wall_s is the parent's minus 0.01."""
+    """Three seeds per side; the change's wall_s is the parent's minus 0.01,
+    and its CPU seconds are half the parent's."""
     sides = {side: tmp_path / side for side in bench_pair.SIDES}
     for workload in WORKLOADS:
-        for seed, wall in zip((1, 2, 3), (0.30, 0.10, 0.20)):
+        for seed, wall, cpu in zip((1, 2, 3), (0.30, 0.10, 0.20), (2.0, 3.0, 9.0)):
             write_result(sides["parent"], workload, seed, 0,
-                         {"wall_s": (wall, "s"), "peak_rss_mb": (24.0, "MB")})
+                         {"wall_s": (wall, "s"), "peak_rss_mb": (24.0, "MB")},
+                         cpu_s=cpu)
             write_result(sides["change"], workload, seed, 0,
                          {"wall_s": (wall - 0.01, "s"), "peak_rss_mb": (24.0, "MB")},
-                         problems=["gate"] if workload == "experiment_r5" else ())
+                         problems=["gate"] if workload == "experiment_r5" else (),
+                         cpu_s=cpu / 2)
         traced = {
             "proofcheck.scan_case.points": (1006040, "count"),
             "core.ldl.calls": (0, "count"),
@@ -81,7 +89,9 @@ def test_record_keeps_the_earlier_schema(copies):
     earlier = json.loads((ROOT / "BENCH_20.json").read_text())
     assert record.keys() == earlier.keys()
     section = record["workloads"]["proof_grid"]
-    assert section.keys() == earlier["workloads"]["proof_grid"].keys()
+    assert section.keys() == (
+        earlier["workloads"]["proof_grid"].keys() | {"cpu_s_per_batch"}
+    )
     assert section["end_to_end"]["wall_s"].keys() == (
         earlier["workloads"]["proof_grid"]["end_to_end"]["wall_s"].keys()
         | {"parent_spread", "resolved"}
@@ -130,6 +140,21 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved(copies):
     assert bench_pair.is_resolved({"parent": parent, "change": [4, 5, 6]}, spread, rule)
     assert not bench_pair.is_resolved({"parent": parent, "change": [0.5]}, spread, rule)
     assert bench_pair.parent_spread([2.0]) is None
+
+
+def test_cpu_seconds_per_batch_per_side(copies):
+    # batches are 10, 20, 30 at seeds 1, 2, 3; the parent used 2, 3 and 9 s
+    record = build(copies)
+    assert record["workloads"]["proof_grid"]["cpu_s_per_batch"] == {
+        "parent_median": 0.2,
+        "parent_runs": [0.2, 0.15, 0.3],
+        "change_median": 0.1,
+        "change_runs": [0.1, 0.075, 0.15],
+    }
+    assert "four setup-only interpreters" in record["harness"]
+    # a two-pair record reads only the first two runs of each side
+    two = build(copies, pairs=2)["workloads"]["proof_grid"]["cpu_s_per_batch"]
+    assert two["parent_runs"] == [0.2, 0.15] and two["parent_median"] == 0.175
 
 
 def test_bookkeeping_and_traced_values(copies):

@@ -97,8 +97,8 @@ def test_certified_basis_has_a_certified_leading_block(rank):
     ]
     for gram in grams:
         assert is_hkz_reduced(gram).ok
-        gso = ldl(gram)
-        assert reduction._certify(gso.block(0, 3)).ok
+        lead = GramMatrix(tuple(row[:3] for row in gram.entries[:3]))
+        assert is_hkz_reduced(lead).ok
 
 
 def test_chain_follows_the_bound_row(monkeypatch):

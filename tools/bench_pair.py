@@ -24,7 +24,9 @@ Each end-to-end metric also carries the parent runs' spread, their
 interquartile range over their median, and `resolved`: false when that
 spread exceeds the metric's `bound` in BENCHMARK.json and not every change
 run is better than every parent run, so the pair cannot tell a change
-within the bound from noise.
+within the bound from noise.  Each untraced run's CPU seconds, summed over
+the interpreters `perfbench/run.py` waits for, are recorded per batch next
+to the wall-clock metrics (`cpu_s_per_batch`).
 Numbers compare only within one file: machines and their load differ.
 """
 
@@ -35,6 +37,7 @@ import io
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -79,10 +82,20 @@ def is_resolved(values: dict, spread, rule: dict) -> bool:
     return min(values["change"]) > max(values["parent"])
 
 
+def run_file(copy: Path, kind: str, workload: str, seed: int, trace: int) -> Path:
+    """The `kind` file ("result" or "cpu") of one perfbench run in a copy."""
+    name = f"{kind}-{workload}-seed{seed}-trace{trace}.json"
+    return copy / ".perfbench_run" / "out" / name
+
+
 def read_result(copy: Path, workload: str, seed: int, trace: int) -> dict:
     """One `perfbench/run.py` record, from the copy it ran in."""
-    name = f"result-{workload}-seed{seed}-trace{trace}.json"
-    return json.loads((copy / ".perfbench_run" / "out" / name).read_text())
+    return json.loads(run_file(copy, "result", workload, seed, trace).read_text())
+
+
+def read_cpu_s(copy: Path, workload: str, seed: int) -> float:
+    """The CPU seconds of one untraced run, as `main` recorded them."""
+    return json.loads(run_file(copy, "cpu", workload, seed, 0).read_text())["cpu_s"]
 
 
 def pairs_per_workload(workloads, pairs, focus=None) -> dict:
@@ -151,6 +164,14 @@ def workload_summary(copies: dict, workload: str, pairs: int, rules: dict) -> di
             side: [r["golden_checked"] for r in runs[side]] for side in SIDES
         },
     }
+    cpu = section["cpu_s_per_batch"] = {}
+    for side in SIDES:
+        per_batch = [
+            read_cpu_s(copies[side], workload, seed) / r["batches"]
+            for seed, r in zip(seeds, runs[side])
+        ]
+        cpu[f"{side}_median"] = _round(statistics.median(per_batch))
+        cpu[f"{side}_runs"] = [_round(v) for v in per_batch]
     traced = {
         side: read_result(copies[side], workload, 1, 1)["metrics"] for side in SIDES
     }
@@ -203,8 +224,11 @@ def build_bench(copies: dict, parent: str, pairs: int, seconds: float, workloads
             f" --seconds {seconds:g} --trace T in a copy of each side (git archive"
             f" {parent}; the change); end-to-end metrics from --trace 0 at seeds"
             f" {seeds}, the side that runs first alternating by seed (parent first"
-            " at odd seeds); counts from one --trace 1 run at seed 1. Numbers compare"
-            " only within this file."
+            " at odd seeds); counts from one --trace 1 run at seed 1."
+            " cpu_s_per_batch is each untraced run's child CPU seconds (getrusage"
+            " RUSAGE_CHILDREN around the run) over its batches; it includes the four"
+            " setup-only interpreters of each run, the same on both sides."
+            " Numbers compare only within this file."
         ),
         "machine": {key: environment[key] for key in ("python", "nproc", "platform")},
         "parent": parent,
@@ -282,12 +306,17 @@ def main(argv=None) -> int:
     copies = make_copies(parent, workdir)
     for seed, workload, side, trace in run_order(workloads, args.pairs, args.focus):
         print(f"{side} {workload} seed {seed} trace {trace}", flush=True)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
         subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload,
              "--seed", str(seed), "--seconds", f"{seconds:g}",
              "--trace", str(trace)],
             cwd=copies[side], check=True, capture_output=True,
         )
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu_s = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+        cpu_file = run_file(copies[side], "cpu", workload, seed, trace)
+        cpu_file.write_text(json.dumps({"cpu_s": cpu_s}))
     outputs = []
     for side in TIER1_ORDER:
         print(f"{side} tier-1", flush=True)
